@@ -5,9 +5,9 @@ dominates: a *wide* partitioned KV (many SE instances) under the
 longest-queue policy re-ranks every instance on every engine step, so
 serving one envelope per step is mostly scheduling. With
 ``optimize=True`` the certifier grants ``COALESCIBLE_DISPATCH`` on the
-entry and the transport folds consecutive deliveries into batches —
-one scheduling decision then serves up to ``optimize_batch_max``
-items.
+entry and the engine drains runs of consecutive same-channel envelopes
+— one scheduling decision then serves up to ``DRAIN_MAX`` (64)
+envelopes, each still deduplicated and dispatched on its own.
 
 The measured pair (baseline vs optimized, best-of-N walls) is written
 to ``BENCH_optimizer.json`` so CI can archive the trend; the run

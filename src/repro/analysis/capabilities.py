@@ -26,13 +26,16 @@ allowed to act on:
     :func:`~repro.analysis.races.block_taints` proves non-escaping:
     no value derived from the replica's state leaves the block, so the
     backend may defer per-mutation journal bookkeeping across a whole
-    delivery batch.
+    drained run (see ``COALESCIBLE_DISPATCH``).
 
 ``COALESCIBLE_DISPATCH``
-    The program-wide licence to coalesce consecutive same-channel
-    envelopes into batched deliveries. Batching preserves per-channel
-    FIFO order but changes the *cross-channel interleaving* at every
-    instance, so it is granted only when the interleaving provably
+    The program-wide licence to drain consecutive same-channel
+    envelopes in one engine step: one scheduling decision serves a run
+    of up to 64 inbox heads, each still deduplicated, traced and
+    dispatched on its own. Draining preserves per-channel FIFO order
+    but changes the *cross-channel interleaving* at every instance
+    (a run is one scheduling step), so it is granted only when the
+    interleaving provably
     cannot reach state: every SE is written either exclusively through
     commutative mutators (``add``/``increment``...) or by a single
     entry TE fed by one totally-ordered input stream, and no TE whose
@@ -95,7 +98,7 @@ _COMMUTATIVE_BINOPS = (ast.Add, ast.Mult, ast.BitOr, ast.BitAnd, ast.BitXor)
 #: its multiset of elements, never of their order.
 _MULTISET_CALLS = frozenset({"len", "max", "min", "sum"})
 
-#: Dispatch semantics whose edges may carry batched deliveries. The
+#: Dispatch semantics whose edges may carry drained runs. The
 #: barrier semantics stay per-item: ``ONE_TO_ALL`` needs one request id
 #: per item and ``ALL_TO_ONE`` responses are request-tagged.
 _COALESCIBLE_DISPATCH = (Dispatch.KEY_PARTITIONED, Dispatch.ONE_TO_ANY)
@@ -134,9 +137,10 @@ class ProgramCapabilities:
     foldable_merges: tuple[str, ...] = ()
     #: TEs whose partial-state RMW is non-escaping (``BATCHABLE_RMW``).
     batchable_rmw: tuple[str, ...] = ()
-    #: Entry TEs whose injected input may be delivered in batches.
+    #: Entry TEs whose injected input may be drained in runs.
     coalescible_entries: frozenset = frozenset()
-    #: ``(src, dst)`` dataflow edges that may carry batched deliveries.
+    #: ``(src, dst)`` dataflow edges whose deliveries may be drained
+    #: in runs.
     coalescible_edges: frozenset = frozenset()
     #: TEs whose SE mutations may share one journal-batched window.
     batch_state_tes: frozenset = frozenset()
@@ -479,9 +483,9 @@ def _coalescing(
 ) -> tuple[frozenset, frozenset, list[str]]:
     """Grant or refuse the program-wide coalescing licence.
 
-    Batching preserves per-channel FIFO delivery but perturbs the
-    cross-channel interleaving at every instance (a multi-item batch
-    is one scheduling step). The licence therefore requires:
+    Draining preserves per-channel FIFO delivery but perturbs the
+    cross-channel interleaving at every instance (a drained run is one
+    scheduling step). The licence therefore requires:
 
     1. every SE is written either only through commutative mutators,
        or by exactly one entry TE with no dataflow predecessors (its

@@ -34,7 +34,6 @@ from repro.chaos.plan import (
     TargetOffline,
 )
 from repro.errors import ChaosError, RuntimeExecutionError
-from repro.runtime.envelope import envelope_weight
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.recovery.backup import BackupStore
@@ -264,7 +263,6 @@ class FaultInjector:
                       f"no queued envelope on TE {fault.te!r}")
             return
         envelope = instance.inbox.pop()
-        instance.queued_items -= envelope_weight(envelope)
         self.runtime.transport.inbox_gauge(instance.name).dec()
         self.runtime.fail_node(instance.node_id)
         self._log(fault, "fired",
@@ -280,7 +278,6 @@ class FaultInjector:
             return
         envelope = instance.inbox[0]
         instance.inbox.append(envelope)
-        instance.queued_items += envelope_weight(envelope)
         self.runtime.transport.inbox_gauge(instance.name).inc()
         self._log(fault, "fired",
                   f"redelivered ts={envelope.ts} to "

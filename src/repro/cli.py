@@ -306,8 +306,8 @@ def _plain_run(args) -> int:
             runtime.inject(entry, payload)
         runtime.run_until_idle()
         wall = time.perf_counter() - start
-        # Logical items, not envelope pops: a coalesced batch serves
-        # many items in one step, so the step count under-reports.
+        # Items, not steps: a drained run serves many envelopes in one
+        # step, so the step count under-reports.
         processed = int(
             runtime.merged_metrics().total("engine_items_processed_total")
         )
@@ -408,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="skip the mid-run KillNode fault")
     p_obs.add_argument("--optimize", action="store_true",
                        help="deploy with capability-driven dispatch "
-                            "(certified coalescing/folds/RMW batching)")
+                            "(certified drain-k/folds/RMW batching)")
     p_obs.add_argument("--events", metavar="PATH",
                        help="also write the event bus as JSON lines")
 

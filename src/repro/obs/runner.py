@@ -104,9 +104,9 @@ def run_workload(app: str = "wordcount", items: int = 120, *,
     Injects ``items`` workload items in two halves; with ``chaos`` a
     :class:`KillNode` fault lands between them and the run keeps
     pumping until the supervisor has restored the victim. With
-    ``optimize`` the runtime deploys capability-driven dispatch (note
-    the tracer keeps transport coalescing off, so pair ``optimize``
-    with ``trace=False`` to see batched deliveries in the digest).
+    ``optimize`` the runtime deploys capability-driven dispatch;
+    drained runs keep one trace hop per envelope, so the digest's
+    ``dispatch_coalesced_total`` counts them with or without ``trace``.
     """
     if items < 2:
         raise SDGError(f"obs run needs at least 2 items, got {items}")

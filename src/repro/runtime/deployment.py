@@ -377,7 +377,6 @@ class Topology:
             for te_inst in self.te_instances(te.name):
                 while te_inst.inbox:
                     pending.append(te_inst.inbox.popleft())
-                te_inst.queued_items = 0
 
         for index in range(n_new):
             part = merged.extract_partition(partitioner, index)

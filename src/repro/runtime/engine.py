@@ -44,10 +44,8 @@ from repro.runtime.dispatcher import Dispatcher
 from repro.runtime.envelope import (
     INPUT_EDGE,
     NO_RESPONSE,
-    Batch,
     ChannelId,
     Envelope,
-    envelope_weight,
 )
 from repro.runtime.instances import (
     GatherState,
@@ -66,6 +64,9 @@ from repro.runtime.substrate import (
 from repro.runtime.transport import Transport
 from repro.state import HashPartitioner
 
+#: Most envelopes one step serves from a ``COALESCIBLE_DISPATCH``
+#: channel (drain-k serving, see :meth:`Runtime.step`).
+DRAIN_MAX = 64
 
 @dataclass
 class RuntimeConfig:
@@ -166,18 +167,19 @@ class RuntimeConfig:
     #: When on, the runtime consults a
     #: :class:`~repro.analysis.capabilities.ProgramCapabilities`
     #: certificate and arms three relaxed paths *only* where the
-    #: analyzer produced a positive proof: transport-level envelope
-    #: coalescing on ``COALESCIBLE_DISPATCH`` channels, eager gather
-    #: folds for ``COMMUTATIVE_MERGE`` TEs, and journal-batched RMWs
-    #: on ``BATCHABLE_RMW`` state. Uncertified programs take the exact
-    #: baseline path even with this flag set.
+    #: analyzer produced a positive proof: drain-k serving on
+    #: ``COALESCIBLE_DISPATCH`` channels (one scheduling decision
+    #: serves up to :data:`DRAIN_MAX` consecutive same-channel
+    #: envelopes, each still deduplicated, traced and recorded on its
+    #: own), eager gather folds for ``COMMUTATIVE_MERGE`` TEs, and
+    #: journal-batched RMWs on ``BATCHABLE_RMW`` state around a
+    #: drained run. Uncertified programs take the exact baseline path
+    #: even with this flag set.
     optimize: bool = False
     #: Pre-certified capabilities to deploy with (e.g. attached by
     #: ``SDGProgram.launch``). ``None`` with ``optimize=True`` makes
     #: the runtime certify its SDG itself at deploy time.
     capabilities: Any = None
-    #: Upper bound on payloads coalesced into one batched delivery.
-    optimize_batch_max: int = 64
 
     def validate(self, sdg: "SDG") -> None:
         """Reject malformed deployment knobs before they misbehave.
@@ -265,22 +267,6 @@ class RuntimeConfig:
                 f"RuntimeConfig.optimize must be a bool, "
                 f"got {self.optimize!r}"
             )
-        if self.optimize:
-            if self.auto_scale:
-                # Repartitioning re-keys queued payloads one by one;
-                # reactive scale-out racing the coalescer is not a
-                # combination worth the complexity — refuse it.
-                raise RuntimeExecutionError(
-                    "optimize=True is incompatible with auto_scale: "
-                    "disable one of the two"
-                )
-            batch_max = self.optimize_batch_max
-            if not isinstance(batch_max, int) or isinstance(batch_max, bool) \
-                    or batch_max < 2:
-                raise RuntimeExecutionError(
-                    f"RuntimeConfig.optimize_batch_max must be an integer "
-                    f">= 2, got {batch_max!r}"
-                )
         if self.substrate_check not in ("warn", "enforce", "off"):
             raise RuntimeExecutionError(
                 f"RuntimeConfig.substrate_check must be 'warn', "
@@ -404,6 +390,11 @@ class Runtime:
         self._merge_folds: dict[str, Any] = {}
         #: TEs licensed to journal-batch their state writes.
         self._batch_state_tes: frozenset[str] = frozenset()
+        #: ``(edge_index, dst_te)`` of the channels certified
+        #: ``COALESCIBLE_DISPATCH`` (``INPUT_EDGE`` for entry TEs):
+        #: the only channels :meth:`step` drains more than one
+        #: envelope from.
+        self._drain_channels: frozenset[tuple[int, str]] = frozenset()
 
     # ------------------------------------------------------------------
     # Deployment
@@ -522,20 +513,13 @@ class Runtime:
         self._merge_folds = dict(getattr(caps, "merge_folds", None) or {})
         self._batch_state_tes = frozenset(
             getattr(caps, "batch_state_tes", None) or ())
-        entries = frozenset(
-            getattr(caps, "coalescible_entries", None) or ())
         edge_pairs = set(getattr(caps, "coalescible_edges", None) or ())
-        edge_indexes = frozenset(
-            i for i, edge in enumerate(self.sdg.dataflows)
-            if (edge.src, edge.dst) in edge_pairs
+        self._drain_channels = frozenset(
+            [(INPUT_EDGE, te)
+             for te in getattr(caps, "coalescible_entries", None) or ()]
+            + [(i, edge.dst) for i, edge in enumerate(self.sdg.dataflows)
+               if (edge.src, edge.dst) in edge_pairs]
         )
-        # The tracer records one hop span per envelope; a batch would
-        # fold N logical hops into one span, so tracing keeps transport
-        # coalescing off (folds and RMW batching are unaffected).
-        if self.tracer is None and (edge_indexes or entries):
-            self.transport.enable_coalescing(
-                edge_indexes, entries, self.config.optimize_batch_max
-            )
 
     def _bind_metrics(self) -> None:
         """Pre-bind metric children so hot-path updates skip label lookup."""
@@ -564,6 +548,10 @@ class Runtime:
             "state_rmw_batches_total",
             "journal write batches applied under a BATCHABLE_RMW licence"
         ).labels()
+        self._c_coalesced = m.counter(
+            "dispatch_coalesced_total",
+            "envelopes served in the step of an earlier envelope on a "
+            "certified channel (drain-k)").labels()
         injected = m.counter(
             "engine_items_injected_total",
             "external items injected, by entry TE")
@@ -700,13 +688,20 @@ class Runtime:
         return self.substrate.blocked_channels()
 
     def step(self) -> bool:
-        """Process one envelope on one TE instance; False when idle.
+        """Serve the head of one TE instance's inbox; False when idle.
 
         Instance selection is the scheduler's call; straggler-credit
         throttling (nodes with ``speed < 1``) lives there too. When
         every pending item sits on a throttled node the step still
         counts (a *stall tick*): logical time passes and hooks run,
         which is what lets the failure detector observe a stalled node.
+
+        Drain-k: when the head's channel is certified
+        ``COALESCIBLE_DISPATCH`` and it is not request-tagged, the same
+        step keeps serving the inbox head while it continues that run
+        (same channel, no request id), up to :data:`DRAIN_MAX`
+        envelopes — one scheduling decision and one set of step hooks
+        for the whole run.
         """
         self._require_deployed()
         nodes = self.topology.nodes
@@ -725,8 +720,26 @@ class Runtime:
             return False
         self._c_picks.inc()
         envelope = instance.inbox.popleft()
-        weight = envelope_weight(envelope)
-        instance.queued_items -= weight
+        channel = envelope.channel
+        if (
+            self._drain_channels
+            and envelope.request_id is None
+            and (channel.edge_index, channel.dst_te) in self._drain_channels
+        ):
+            self._drain(instance, envelope)
+        else:
+            self._serve(instance, envelope)
+        self._tick()
+        return True
+
+    def _serve(self, instance: TEInstance, envelope: Envelope) -> bool:
+        """Serve one popped envelope; False when its task crashed.
+
+        A crash propagates unless a crash handler is registered
+        (supervised mode): then the host node is failed (the envelope
+        survives upstream and is replayed during recovery) and every
+        handler is told, instead of the whole pipeline aborting.
+        """
         self.transport.inbox_gauge(instance.name).dec()
         if self.flight is not None:
             self.flight.record_envelope(self.total_steps, instance,
@@ -738,26 +751,66 @@ class Runtime:
         except RuntimeExecutionError as exc:
             if not self._crash_handlers:
                 raise
-            # Supervised mode: a task crash kills its host node (the
-            # envelope survives upstream and is replayed during
-            # recovery) and the handlers are told, instead of the
-            # whole pipeline aborting.
-            if nodes[instance.node_id].alive:
+            if self.topology.nodes[instance.node_id].alive:
                 self.fail_node(instance.node_id)
             for handler in list(self._crash_handlers):
                 handler(self, instance, envelope, exc)
+            return False
         finally:
             if self._p_process is not None:
                 self._p_process.add(time.perf_counter() - t0)
-        if weight > 1:
-            # A coalesced batch served N items in a step the scheduler
-            # admitted one item for; charge the straggler credit so
-            # batching cannot smuggle work past a throttled node.
+        return True
+
+    def _extends(self, inbox, channel: ChannelId) -> bool:
+        """Whether the inbox head continues a drained run on ``channel``."""
+        if not inbox:
+            return False
+        head = inbox[0]
+        return head.request_id is None and head.channel == channel
+
+    def _drain(self, instance: TEInstance, envelope: Envelope) -> None:
+        """Serve ``envelope`` and the run of inbox heads that extends it.
+
+        Each envelope is popped only just before it is served, so a
+        crash leaves the unserved tail queued and the crash handlers
+        see the envelope that actually raised. When the TE holds a
+        ``BATCHABLE_RMW`` licence and the run is longer than one, the
+        state journal defers per-item bookkeeping to one flush at the
+        end of the run; a mid-run crash still flushes the served prefix
+        (its ``last_seen`` marks already advanced, so its state must be
+        checkpointable).
+        """
+        inbox = instance.inbox
+        channel = envelope.channel
+        element = None
+        if (
+            instance.name in self._batch_state_tes
+            and instance.se_instance is not None
+            and self._extends(inbox, channel)
+        ):
+            element = instance.se_instance.element
+            element.begin_rmw_batch()
+        served = 1
+        try:
+            while (
+                self._serve(instance, envelope)
+                and served < DRAIN_MAX
+                and self._extends(inbox, channel)
+            ):
+                envelope = inbox.popleft()
+                served += 1
+        finally:
+            if element is not None:
+                element.end_rmw_batch()
+                self._c_rmw_batches.inc()
+        if served > 1:
+            self._c_coalesced.inc(served - 1)
+            # One admitted step served ``served`` envelopes: charge the
+            # straggler credit so draining cannot smuggle work past a
+            # throttled node.
             charge = getattr(self.scheduler, "charge", None)
             if charge is not None:
-                charge(nodes[instance.node_id], weight - 1)
-        self._tick()
-        return True
+                charge(self.topology.nodes[instance.node_id], served - 1)
 
     def _tick(self) -> None:
         """Advance logical time by one step and run the step hooks."""
@@ -877,9 +930,6 @@ class Runtime:
 
     def _process_item(self, instance: TEInstance, envelope: Envelope) -> None:
         spec = instance.spec
-        if type(envelope.payload) is Batch:
-            self._process_batch(instance, envelope)
-            return
         if spec.is_merge and envelope.request_id is not None:
             self._process_gather(instance, envelope)
             return
@@ -889,49 +939,6 @@ class Runtime:
         self.nodes[instance.node_id].items_processed += 1
         instance.processed_count += 1
         self._c_processed[instance.name].inc()
-
-    def _process_batch(self, instance: TEInstance,
-                       envelope: Envelope) -> None:
-        """Serve every payload of a coalesced batch in one step.
-
-        The whole-batch dedup check in :meth:`_process` uses the
-        *newest* item's timestamp and is therefore conservative; each
-        item re-checks ``last_seen`` individually here, so a crash
-        replay that re-delivers an already-processed prefix drops
-        exactly that prefix. When the TE holds a ``BATCHABLE_RMW``
-        licence its state journal defers per-item ops to one batch
-        flush; a mid-batch task crash still flushes the processed
-        prefix (those items' ``last_seen`` marks already advanced, so
-        their state must be checkpointable).
-        """
-        key = stream_key(envelope.channel)
-        element = None
-        if (
-            instance.name in self._batch_state_tes
-            and instance.se_instance is not None
-        ):
-            element = instance.se_instance.element
-            element.begin_rmw_batch()
-        processed = 0
-        try:
-            for ts, payload in envelope.payload.items:
-                if ts <= instance.last_seen.get(key, 0):
-                    continue
-                item = Envelope(payload=payload, ts=ts,
-                                channel=envelope.channel,
-                                trace_id=envelope.trace_id)
-                outputs = self._invoke(instance, payload)
-                instance.mark_processed(item)
-                self._dispatch(instance, outputs, item)
-                processed += 1
-        finally:
-            if element is not None:
-                element.end_rmw_batch()
-                self._c_rmw_batches.inc()
-        if processed:
-            self.nodes[instance.node_id].items_processed += processed
-            instance.processed_count += processed
-            self._c_processed[instance.name].inc(processed)
 
     def _process_gather(self, instance: TEInstance,
                         envelope: Envelope) -> None:
@@ -1283,18 +1290,6 @@ class Runtime:
         duplicate. The stale copy is removed from the producer-side
         replay buffer to keep recovery consistent.
         """
-        if type(envelope.payload) is Batch:
-            # A coalesced batch never lives in a replay buffer (buffers
-            # keep the original per-item envelopes), so unbundle and
-            # re-route each payload on its own; the recursive calls
-            # find and drop the per-item stale copies.
-            for ts, payload in envelope.payload.items:
-                self._resend_after_reroute(
-                    Envelope(payload=payload, ts=ts,
-                             channel=envelope.channel,
-                             trace_id=envelope.trace_id)
-                )
-            return
         channel = envelope.channel
         spec = self.sdg.task(channel.dst_te)
         if channel.edge_index == INPUT_EDGE:

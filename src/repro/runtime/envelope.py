@@ -39,41 +39,6 @@ def _restore_no_response() -> "_NoResponse":
 NO_RESPONSE = _NoResponse()
 
 
-class Batch:
-    """A coalesced run of consecutive payloads from one channel.
-
-    Built by the transport when capability-driven coalescing is on
-    (``RuntimeConfig(optimize=True)`` plus a ``COALESCIBLE_DISPATCH``
-    certificate): consecutive envelopes on the same channel are merged
-    into a single delivery whose payload is a ``Batch``. ``items``
-    holds ``(ts, payload)`` pairs in channel order; the carrying
-    envelope's ``ts`` is the *newest* item's, so whole-batch duplicate
-    detection stays conservative while the engine re-checks each item
-    against ``last_seen`` individually (crash replay can re-deliver a
-    prefix that was already processed).
-    """
-
-    __slots__ = ("items",)
-
-    def __init__(self, items: list[tuple[int, Any]]) -> None:
-        self.items = items
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Batch of {len(self.items)}>"
-
-    def __reduce__(self):
-        return (Batch, (self.items,))
-
-
-def envelope_weight(envelope: "Envelope") -> int:
-    """Logical item count carried by one envelope (1 unless batched)."""
-    payload = envelope.payload
-    return len(payload.items) if type(payload) is Batch else 1
-
-
 @dataclass(frozen=True)
 class ChannelId:
     """Identifies one point-to-point stream between two TE instances.

@@ -4,24 +4,41 @@ The optimizer's contract has two halves, and the suite pins both:
 
 *Soundness* — every relaxed path is gated on a certificate. Uncertified
 programs deployed with ``optimize=True`` take the exact baseline path:
-coalescing never switches on, no fold is installed, no journal batch
-opens, and the differentials below prove ``state_fingerprint``
-equality between optimized and baseline runs on both substrates.
+no step drains more than one envelope, no fold is installed, no
+journal batch opens, and the differentials below prove
+``state_fingerprint`` equality between optimized and baseline runs on
+both substrates. Draining keeps every per-envelope guarantee: a crash
+mid-run leaves the unserved tail queued, and traced runs keep one hop
+per envelope.
 
-*Liveness* — certified programs actually take the relaxed paths: the
-transport forms :class:`Batch` payloads and counts them, the gather
-barrier folds replica values as they arrive, and the backend batches
-RMW journal bookkeeping, each observable through its counter.
+*Liveness* — certified programs actually take the relaxed paths: one
+engine step drains a run of same-channel envelopes and counts the
+extras, the gather barrier folds replica values as they arrive, and
+the backend batches RMW journal bookkeeping, each observable through
+its counter.
 """
+
+from collections import Counter
 
 import pytest
 
+from repro.analysis.capabilities import ProgramCapabilities
 from repro.apps import CollaborativeFiltering, KeyValueStore
 from repro.apps.wordcount import build_wordcount_sdg
+from repro.core.elements import AccessMode, StateKind
+from repro.core.graph import SDG
 from repro.durability.manifest import state_fingerprint
 from repro.errors import RuntimeExecutionError
-from repro.runtime import Runtime, RuntimeConfig
-from repro.runtime.envelope import Batch, envelope_weight
+from repro.recovery import (
+    BackupStore,
+    CheckpointManager,
+    CheckpointScheduler,
+    RecoveryManager,
+    RecoverySupervisor,
+)
+from repro.runtime import FailureDetector, Runtime, RuntimeConfig
+from repro.runtime.engine import DRAIN_MAX
+from repro.state import KeyValueMap
 from repro.testing import build_iterative_sdg, build_kv_sdg
 
 CORPUS = (
@@ -111,15 +128,14 @@ class TestUncertifiedNeverRelaxed:
         runtime = app.runtime
         # The certificate granted nothing the dispatch layer may use.
         assert "COALESCIBLE_DISPATCH" not in runtime.capabilities.flags
-        assert runtime.transport._coalesce_edges is None
+        assert runtime._drain_channels == frozenset()
         assert not runtime._merge_folds
 
-        seen_batches = []
+        served_at = []
         original = runtime.substrate.process
 
         def watch(instance, envelope):
-            if type(envelope.payload) is Batch:
-                seen_batches.append(envelope)
+            served_at.append(runtime.total_steps)
             original(instance, envelope)
 
         runtime.substrate.process = watch
@@ -130,7 +146,8 @@ class TestUncertifiedNeverRelaxed:
         for i in range(9):
             app.get(i)
         app.run()
-        assert seen_batches == []
+        # One envelope per step: no step ever drained a run.
+        assert len(served_at) == len(set(served_at))
         metrics = runtime.merged_metrics()
         assert metrics.total("dispatch_coalesced_total") == 0
         assert metrics.total("merge_early_completions_total") == 0
@@ -160,36 +177,40 @@ class TestUncertifiedNeverRelaxed:
 
 
 class TestCertifiedPathsEngage:
-    def test_coalescing_forms_batches_on_certified_edges(self):
-        config = RuntimeConfig(se_instances={"table": 2}, optimize=True)
+    def test_steps_plus_drained_equal_served(self):
+        def counters(optimize):
+            config = RuntimeConfig(se_instances={"table": 2},
+                                   optimize=optimize)
+            runtime = Runtime(build_kv_sdg(), config).deploy()
+            for i in range(50):
+                runtime.inject("serve", ("put", i % 3, i))
+            runtime.run_until_idle()
+            metrics = runtime.merged_metrics()
+            return (metrics.total("engine_items_processed_total"),
+                    metrics.total("engine_steps_total"),
+                    metrics.total("dispatch_coalesced_total"))
+
+        for optimize in (False, True):
+            served, steps, coalesced = counters(optimize)
+            assert served == 50
+            assert steps + coalesced == served
+            assert (coalesced > 0) == optimize
+
+    def test_one_step_drains_at_most_drain_max(self):
+        config = RuntimeConfig(se_instances={"table": 1}, optimize=True)
         runtime = Runtime(build_kv_sdg(), config).deploy()
-        for i in range(50):
-            runtime.inject("serve", ("put", i % 3, i))
-        # Before draining, the entry inboxes hold coalesced batches
-        # whose logical depth the queued_items counter tracks.
-        batches = 0
-        for instance in runtime.te_instances("serve"):
-            weights = [envelope_weight(env) for env in instance.inbox]
-            batches += sum(1 for env in instance.inbox
-                           if type(env.payload) is Batch)
-            assert instance.queued_items == sum(weights)
-        assert batches > 0
+        for i in range(200):
+            runtime.inject("serve", ("put", i % 5, i))
+        (instance,) = runtime.te_instances("serve")
+        assert runtime.step()
+        assert len(instance.inbox) == 200 - DRAIN_MAX
         runtime.run_until_idle()
         metrics = runtime.merged_metrics()
-        assert metrics.total("dispatch_coalesced_total") > 0
-        assert metrics.total("engine_items_processed_total") == 50
-
-    def test_batch_respects_the_configured_ceiling(self):
-        config = RuntimeConfig(se_instances={"table": 1}, optimize=True,
-                               optimize_batch_max=4)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        for i in range(40):
-            runtime.inject("serve", ("put", 0, i))
-        for instance in runtime.te_instances("serve"):
-            for env in instance.inbox:
-                assert envelope_weight(env) <= 4
-        runtime.run_until_idle()
-        assert state_fingerprint(runtime) is not None
+        steps = metrics.total("engine_steps_total")
+        assert steps >= -(-200 // DRAIN_MAX)
+        assert steps + metrics.total("dispatch_coalesced_total") == 200
+        assert dict(runtime.se_instances("table")[0].element.items()) == {
+            k: 195 + k for k in range(5)}
 
     def test_gather_folds_eagerly_and_counts_completions(self):
         def run(optimize):
@@ -213,6 +234,114 @@ class TestCertifiedPathsEngage:
 
 
 # ---------------------------------------------------------------------------
+# Crash mid-drain: lazy popping keeps the per-envelope crash contract
+# ---------------------------------------------------------------------------
+
+
+def build_counter_sdg(fuse):
+    """A keyed counter whose task raises once on the ``"boom"`` delta.
+
+    ``fuse`` is a list; the task pops it when it raises, so a replayed
+    boom envelope succeeds. The hand-built certificate licenses
+    draining on the entry channel.
+    """
+    sdg = SDG("counter")
+    sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED,
+                  partition_by="key")
+
+    def add(ctx, request):
+        key, delta = request
+        if delta == "boom":
+            if fuse:
+                fuse.pop()
+                raise ValueError("boom")
+            delta = 100
+        ctx.state.put(key, ctx.state.get(key, 0) + delta)
+
+    sdg.add_task("add", add, state="table",
+                 access=AccessMode.PARTITIONED, is_entry=True,
+                 entry_key_fn=lambda req: req[0], entry_key_name="key")
+    caps = ProgramCapabilities(target="counter",
+                               coalescible_entries=frozenset({"add"}))
+    return sdg, caps
+
+
+#: One drained run on key "a" whose third envelope raises.
+RUN = [("a", 1), ("a", 2), ("a", "boom"), ("a", 4), ("a", 5), ("a", 6)]
+
+
+def deploy_counter(fuse, table):
+    sdg, caps = build_counter_sdg(fuse)
+    config = RuntimeConfig(se_instances={"table": table}, optimize=True,
+                           capabilities=caps)
+    return Runtime(sdg, config).deploy()
+
+
+def counter_state(runtime):
+    merged = {}
+    for inst in runtime.se_instances("table"):
+        merged.update(dict(inst.element.items()))
+    return merged
+
+
+class TestCrashMidDrain:
+    def test_unsupervised_crash_leaves_the_unserved_tail_queued(self):
+        runtime = deploy_counter(["armed"], table=1)
+        for request in RUN:
+            runtime.inject("add", request)
+        (instance,) = runtime.te_instances("add")
+        with pytest.raises(RuntimeExecutionError, match="boom"):
+            runtime.step()
+        # The served prefix applied; the three envelopes after the one
+        # that raised are still queued, exactly as on the baseline path.
+        assert [env.payload for env in instance.inbox] == RUN[3:]
+        assert counter_state(runtime) == {"a": 3}
+
+    def test_supervised_crash_reports_the_raising_envelope(self):
+        fuse = ["armed"]
+        runtime = deploy_counter(fuse, table=2)
+        store = BackupStore(m_targets=2)
+        manager = CheckpointManager(runtime, store, trim_input_log=False)
+        scheduler = CheckpointScheduler(manager, every_items=10,
+                                        complete_after_steps=3).install()
+        detector = FailureDetector(runtime, heartbeat_timeout=20,
+                                   check_every=5).install()
+        supervisor = RecoverySupervisor(
+            detector, RecoveryManager(runtime, store)).install()
+        crashed = []
+        runtime.add_crash_handler(
+            lambda rt, inst, envelope, exc: crashed.append(envelope))
+
+        oracle: dict = {}
+        warmup = [(f"k{i % 7}", i) for i in range(40)]
+        for request in warmup + RUN + warmup:
+            delta = 100 if request[1] == "boom" else request[1]
+            oracle[request[0]] = oracle.get(request[0], 0) + delta
+        for request in warmup:
+            runtime.inject("add", request)
+        runtime.run_until_idle()
+        for request in RUN:
+            runtime.inject("add", request)
+        runtime.run_until_idle()
+        for request in warmup:
+            runtime.inject("add", request)
+        runtime.run_until_idle()
+        while not (supervisor.settled
+                   and not detector.unreported_dead_nodes()):
+            runtime.run_until_idle()
+
+        assert not fuse
+        assert [env.payload for env in crashed] == [("a", "boom")]
+        assert runtime.merged_metrics().total(
+            "dispatch_coalesced_total") > 0
+        scheduler.flush()
+        runtime.run_until_idle()
+        # Recovery replayed the crashed run without re-applying the
+        # prefix served before the crash.
+        assert counter_state(runtime) == oracle
+
+
+# ---------------------------------------------------------------------------
 # Gates: configuration and tracer interactions
 # ---------------------------------------------------------------------------
 
@@ -221,40 +350,57 @@ class TestGates:
     def test_optimize_defaults_off(self):
         runtime = Runtime(build_kv_sdg()).deploy()
         assert runtime.capabilities is None
-        assert runtime.transport._coalesce_edges is None
+        assert runtime._drain_channels == frozenset()
 
-    def test_optimize_rejects_auto_scale(self):
-        config = RuntimeConfig(optimize=True, auto_scale=True)
-        with pytest.raises(RuntimeExecutionError, match="auto_scale"):
-            Runtime(build_kv_sdg(), config).deploy()
-
-    @pytest.mark.parametrize("bad", [1, True, 0, -3])
-    def test_batch_max_must_be_a_real_ceiling(self, bad):
-        with pytest.raises(RuntimeExecutionError):
-            Runtime(build_kv_sdg(),
-                    RuntimeConfig(optimize=True,
-                                  optimize_batch_max=bad)).deploy()
-
-    def test_tracer_keeps_transport_coalescing_off(self):
-        config = RuntimeConfig(se_instances={"table": 2}, optimize=True,
-                               trace=True)
+    def test_optimize_with_auto_scale_scales_out_mid_run(self):
+        config = RuntimeConfig(se_instances={"table": 1}, optimize=True,
+                               auto_scale=True, scale_threshold=16,
+                               scale_check_every=1, max_instances=4)
         runtime = Runtime(build_kv_sdg(), config).deploy()
-        # The certificate is still computed and attached...
-        assert "COALESCIBLE_DISPATCH" in runtime.capabilities.flags
-        # ...but per-envelope tracing wins over batched delivery.
-        assert runtime.transport._coalesce_edges is None
-        for i in range(30):
-            runtime.inject("serve", ("put", i % 3, i))
+        oracle = {}
+        for i in range(600):
+            runtime.inject("serve", ("put", i % 37, i))
+            oracle[i % 37] = i
         runtime.run_until_idle()
+        assert runtime.scale_events
+        assert len(runtime.se_instances("table")) > 1
         assert runtime.merged_metrics().total(
-            "dispatch_coalesced_total") == 0
+            "dispatch_coalesced_total") > 0
+        partitioner = runtime._partitioners["table"]
+        merged = {}
+        for inst in runtime.se_instances("table"):
+            for key, value in inst.element.items():
+                assert partitioner.partition(key) == inst.index
+                merged[key] = value
+        assert merged == oracle
+
+    def test_traced_drain_keeps_one_hop_per_envelope(self):
+        def hops(optimize):
+            config = RuntimeConfig(se_instances={"table": 2},
+                                   optimize=optimize, trace=True)
+            runtime = Runtime(build_kv_sdg(), config).deploy()
+            for i in range(30):
+                runtime.inject("serve", ("put", i % 3, i))
+            runtime.run_until_idle()
+            coalesced = runtime.merged_metrics().total(
+                "dispatch_coalesced_total")
+            seen = Counter(
+                (trace.trace_id, hop.te, hop.instance)
+                for trace in runtime.tracer.traces() for hop in trace.hops
+            )
+            return seen, coalesced
+
+        base_hops, base_coalesced = hops(False)
+        opt_hops, opt_coalesced = hops(True)
+        assert base_coalesced == 0
+        assert opt_coalesced > 0
+        assert opt_hops == base_hops
+        assert sum(opt_hops.values()) == 30
 
     def test_explicit_capabilities_are_honoured_verbatim(self):
-        from repro.analysis.capabilities import ProgramCapabilities
-
         caps = ProgramCapabilities(target="handmade")  # grants nothing
         config = RuntimeConfig(se_instances={"table": 2}, optimize=True,
                                capabilities=caps)
         runtime = Runtime(build_kv_sdg(), config).deploy()
         assert runtime.capabilities is caps
-        assert runtime.transport._coalesce_edges is None
+        assert runtime._drain_channels == frozenset()

@@ -48,7 +48,7 @@ class TestPartitionedScaleUp:
             (f"k{i}", i) for i in range(30)
         )
 
-    def test_queued_items_rerouted_on_scale(self):
+    def test_queued_envelopes_rerouted_on_scale(self):
         runtime = self.deploy(1)
         for i in range(25):
             runtime.inject("serve", ("put", f"k{i}", i))
