@@ -849,8 +849,9 @@ class Runtime:
         Substrate-dispatched: in-process this is the deterministic
         step loop (auto-scale checks between steps); on the
         multiprocess substrate it pumps the coordinator's event loop
-        until every worker reports quiescence, then merges worker
-        state/results/metrics shards back (a barrier point).
+        until every worker reports quiescence, then folds in each
+        worker's state deltas, new results and metrics shard (a
+        barrier point).
         """
         self._require_deployed()
         return self.substrate.run_until_idle(max_steps)

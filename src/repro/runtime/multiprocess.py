@@ -31,10 +31,16 @@ emitted precedes the idle frame that counts it; the system is quiet
 exactly when every worker has consumed everything the coordinator
 sent, the coordinator has read everything every worker emitted, and
 no outbound bytes are queued. ``run_until_idle`` then runs the barrier
-sync (``MSG_SNAPSHOT``): workers ship SE elements, terminal results
-and their metrics shard back, and the coordinator installs them — so
-after the call, coordinator-side state inspection (fingerprints,
-checkpoints, reports) is substrate-agnostic.
+sync (``MSG_SNAPSHOT``): each worker ships what changed since the
+previous barrier — one :class:`~repro.state.base.DeltaChunk` per SE
+element its journal marks dirty, the terminal results produced since
+then — plus its metrics shard, and the coordinator folds the deltas
+into its own elements and appends the results. A barrier therefore
+costs O(change), not O(state + history), and after the call
+coordinator-side state inspection (fingerprints, checkpoints, reports)
+is substrate-agnostic. The fold writes through the coordinator's
+journalled store, so its delta checkpoints cover exactly the mutations
+since the last checkpoint, as in-process.
 
 Observability rides the same pipes (no side channels):
 
@@ -55,8 +61,9 @@ Fleet restart (``RuntimeConfig(worker_restarts=N)``): a worker crash
 normally aborts the run. With restarts budgeted, the coordinator
 instead retires the dead fleet's barrier-fenced telemetry, tears every
 worker down, re-forks a fresh fleet from its own (barrier-consistent)
-state, and replays the input envelopes delivered since the last
-barrier — deterministic tasks then reproduce exactly the lost work.
+state and results, and replays the input envelopes delivered since the
+last barrier — deterministic tasks then reproduce exactly the lost
+work, which the next barrier ships as usual.
 Metric shards fenced at the last barrier are retired so the merged
 totals never double-count a crashed worker's replayed items; post-
 barrier live shards are discarded (the replay re-counts that work
@@ -101,6 +108,7 @@ from repro.runtime.wire import (
     write_bytes,
     write_frame,
 )
+from repro.state.base import DeltaChunk
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.deployment import WorkerPlacement
@@ -232,9 +240,6 @@ class MultiprocessSubstrate:
         #: Barrier-fenced metric shards of fleets that were restarted.
         self._retired_shards: list[dict] = []
         self._retired_processed = 0
-        #: Terminal results as of the barrier preceding the last
-        #: restart (the re-forked fleet re-collects only newer work).
-        self._retired_results: dict[str, list] = {}
         #: Input envelopes delivered since the last barrier — the
         #: replay source for a fleet restart. Only kept when restarts
         #: are budgeted.
@@ -618,8 +623,6 @@ class MultiprocessSubstrate:
             if link.fenced_shard is not None:
                 self._retired_shards.append(link.fenced_shard)
             self._retired_processed += link.fenced_processed
-        self._retired_results = {te: list(items)
-                                 for te, items in runtime.results.items()}
         runtime.events.publish(
             "substrate", KIND.WORKER_RESTART, runtime.total_steps,
             worker=failure.link.worker_id,
@@ -647,14 +650,21 @@ class MultiprocessSubstrate:
     # ------------------------------------------------------------------
 
     def _sync(self) -> int:
-        """Ship worker state back and install it on the coordinator.
+        """Fold the workers' changes since the last barrier into the
+        coordinator.
 
-        After this barrier the coordinator's topology holds every SE
-        element, ``runtime.results`` holds the merged terminal outputs
-        (retired fleets' results first, then the live fleet in worker
-        order — deterministic for a fixed placement), and
-        ``metric_shards`` holds each worker's registry snapshot.
-        Returns the items processed since the previous barrier.
+        Each reply carries a :class:`~repro.state.base.DeltaChunk` per
+        SE element the worker mutated (or the whole element, for a
+        legacy SE whose overridden ``_store_*`` hooks bypass the
+        journal) and the terminal results produced since the previous
+        barrier. Deltas are folded in with ``load_delta_chunk``, so
+        they land in the coordinator's mutation journal; results are
+        appended to the existing ``runtime.results`` lists (barrier by
+        barrier, in worker order — deterministic for a fixed
+        placement). ``metric_shards`` then holds each worker's registry
+        snapshot. Replies are applied only once every worker answered,
+        so a crash mid-barrier leaves the coordinator at the previous
+        barrier. Returns the items processed since that barrier.
         """
         runtime = self.runtime
         for link in self._links:
@@ -662,18 +672,19 @@ class MultiprocessSubstrate:
             self._send(link, (MSG_SNAPSHOT,))
         while any(link.state_reply is None for link in self._links):
             self._pump(0.1)
-        results: dict[str, list] = {te: [] for te in runtime.results}
-        for te, items in self._retired_results.items():
-            results.setdefault(te, []).extend(items)
         processed_total = self._retired_processed
         for link in self._links:
             reply = link.state_reply
-            for (se_name, index), element in reply["se"].items():
+            for (se_name, index), state in reply["se"].items():
                 inst = runtime.topology.se_instance(se_name, index)
-                if inst is not None:
-                    inst.element = element
+                if inst is None:
+                    continue
+                if isinstance(state, DeltaChunk):
+                    inst.element.load_delta_chunk(state)
+                else:
+                    inst.element = state
             for te, items in reply["results"].items():
-                results.setdefault(te, []).extend(items)
+                runtime.results.setdefault(te, []).extend(items)
             link.live_shard = reply["metrics"]
             link.fenced_shard = reply["metrics"]
             link.fenced_processed = reply["processed"]
@@ -683,8 +694,6 @@ class MultiprocessSubstrate:
             if trace_shard and runtime.tracer is not None:
                 runtime.tracer.merge_shard(trace_shard)
             processed_total += reply["processed"]
-        runtime.results.clear()
-        runtime.results.update(results)
         self._replay_log.clear()
         delta = processed_total - self._processed_base
         self._processed_base = processed_total
@@ -771,6 +780,11 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
     # worker ships only work it performed itself.
     for te in list(runtime.results):
         runtime.results[te] = []
+    # Likewise the journals: the inherited ones hold the coordinator's
+    # mutations since its last checkpoint. Start clean so the first
+    # barrier ships only this worker's own mutations.
+    for inst in _owned_se_instances(runtime, worker_id, placement):
+        inst.element.mark_clean()
     tracer = runtime.tracer
     if tracer is not None:
         # Keep the inherited trace books (the served-set makes local
@@ -928,22 +942,44 @@ def _check_hello(runtime: "Runtime", message: tuple, worker_id: int,
         )
 
 
+def _owned_se_instances(runtime: "Runtime", worker_id: int,
+                        placement) -> list:  # pragma: no cover - subprocess
+    """The SE instances hosted on this worker's nodes."""
+    return [inst for se_name in runtime.sdg.states
+            for inst in runtime.topology.se_instances(se_name)
+            if placement.worker_of_node(inst.node_id) == worker_id]
+
+
 def _snapshot(runtime: "Runtime", worker_id: int, placement,
               counters: dict) -> dict:  # pragma: no cover - subprocess
-    """This worker's barrier payload: SE elements, results, telemetry."""
-    elements = {}
-    for se_name in runtime.sdg.states:
-        for inst in runtime.topology.se_instances(se_name):
-            if placement.worker_of_node(inst.node_id) == worker_id:
-                elements[inst.key] = inst.element
+    """This worker's barrier payload: what changed since the previous
+    barrier (SE deltas, new results) plus telemetry.
+
+    Journals are reset and result lists replaced here, so the next
+    barrier starts from this one. The reply is pickled before the
+    worker touches its state again, so shipping the live values
+    (no copies) is safe.
+    """
+    state = {}
+    for inst in _owned_se_instances(runtime, worker_id, placement):
+        element = inst.element
+        if not element.delta_capable:
+            # Overridden _store_* hooks bypass the journal: ship whole.
+            state[inst.key] = element
+        elif element.backend.journal_size:
+            # Lineage is unused: barrier deltas apply in pipe order.
+            state[inst.key] = element.to_delta_chunks(1, 0, 0)[0]
+            element.mark_clean()
+    results = {te: items for te, items in runtime.results.items() if items}
+    for te in results:
+        runtime.results[te] = []
     reply = {
         "worker": worker_id,
         "consumed": counters["consumed"],
         "emitted": counters["emitted"],
         "processed": counters["processed"],
-        "se": elements,
-        "results": {te: list(items)
-                    for te, items in runtime.results.items() if items},
+        "se": state,
+        "results": results,
         "metrics": runtime.metrics.snapshot(),
         "steps": runtime.total_steps,
     }

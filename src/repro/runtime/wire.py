@@ -169,13 +169,15 @@ def write_frame(fd: int, message: Any) -> None:
 # profile shards, MSG_TRACE ships causal-trace hops, and crash frames
 # carry the worker's flight-recorder dump — no side channels.
 
-#: coordinator -> worker: bootstrap (worker id, placement, successor
-#: index digest, capability flags); the worker verifies it against its
-#: own forked view before serving traffic.
+#: coordinator -> worker: bootstrap ``(tag, worker_id, n_workers,
+#: index_digest)`` — the worker's id, the fleet size and the successor
+#: index digest; the worker verifies them against its own forked view
+#: before serving traffic.
 MSG_HELLO = "hello"
 #: coordinator -> worker: one envelope to enqueue locally.
 MSG_DELIVER = "deliver"
-#: coordinator -> worker: ship back SE state, results, metrics shard.
+#: coordinator -> worker: ship back what changed since the previous
+#: barrier (SE deltas, new results) and the metrics shard.
 MSG_SNAPSHOT = "snapshot"
 #: coordinator -> worker: exit the worker loop.
 MSG_SHUTDOWN = "shutdown"
@@ -194,8 +196,10 @@ MSG_IDLE = "idle"
 #: trace hops recorded since the last drain. Pure telemetry: never
 #: counted in the consumed/emitted quiescence arithmetic.
 MSG_TRACE = "trace"
-#: worker -> coordinator: snapshot reply (SE elements, results, metrics
-#: shard; plus drained trace hops and the profile shard when enabled).
+#: worker -> coordinator: snapshot reply — one ``DeltaChunk`` per SE
+#: element mutated since the previous barrier (a non-journalled legacy
+#: SE goes whole), the results produced since then, the metrics shard,
+#: plus drained trace hops and the profile shard when enabled.
 MSG_STATE = "state"
 #: worker -> coordinator: the worker loop died — ``(tag, traceback,
 #: extra)`` where ``extra`` carries the worker id, step count and the

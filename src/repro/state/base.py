@@ -485,15 +485,19 @@ class StateElement(abc.ABC):
         side of a single delta, so within a chunk the order is
         immaterial, but deleting first keeps the fold idempotent when a
         caller retries a chunk.
+
+        Writes go through the dirty-state helpers: folding a delta into
+        a live SE mid-checkpoint (the multiprocess barrier) lands in
+        the overlay and leaves the frozen snapshot intact.
         """
         self.apply_chunk_meta(chunk.meta)
         for key in chunk.deleted:
             try:
-                self._store_delete(key)
+                self._delete(key)
             except KeyError:
                 pass  # deleted key never made it into the base: fine
         for key, value in chunk.items:
-            self._store_set(key, value)
+            self._set(key, value)
 
     @classmethod
     def from_chunks(

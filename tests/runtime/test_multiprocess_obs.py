@@ -170,7 +170,10 @@ def build_crash_once_kv(flag_path):
             with open(flag_path, "w") as fh:
                 fh.write("crashed")
             os._exit(13)  # hard death: no MSG_CRASH, no cleanup
+        if op == "get":
+            return (key, ctx.state.get(key))
         ctx.state.put(key, value)
+        return None
 
     sdg.add_task("serve", serve, state="table",
                  access=AccessMode.PARTITIONED, is_entry=True,
@@ -178,19 +181,27 @@ def build_crash_once_kv(flag_path):
     return sdg
 
 
+#: 24 puts, then the request that crashes its worker once.
+PUTS = [("put", f"k{i}", i) for i in range(24)]
+BOOM = ("put", "boom", 99)
+
+
 class TestCrashRestartAccounting:
     """Satellite: restart telemetry neither loses nor double-counts."""
 
-    def run_workload(self, sdg, substrate, workers=None, restarts=0):
+    def run_workload(self, sdg, substrate, drains, workers=None,
+                     restarts=0):
+        """Run ``drains`` (one barrier each); return the merged item
+        series, sorted results, state fingerprint and restart events."""
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate=substrate, workers=workers,
                                worker_restarts=restarts)
         runtime = Runtime(sdg, config).deploy()
         try:
-            for i in range(24):
-                runtime.inject("serve", ("put", f"k{i}", i))
-            runtime.inject("serve", ("put", "boom", 99))
-            runtime.run_until_idle()
+            for drain in drains:
+                for request in drain:
+                    runtime.inject("serve", request)
+                runtime.run_until_idle()
             metrics = runtime.merged_metrics().snapshot()
             series = metrics["engine_items_processed_total"]["children"]
             results = {te: sorted(map(repr, items))
@@ -201,9 +212,24 @@ class TestCrashRestartAccounting:
             runtime.close()
 
     def test_merged_metrics_survive_a_restart(self, tmp_path):
+        self.assert_restart_invisible(tmp_path, [PUTS + [BOOM]])
+
+    def test_restart_after_a_completed_barrier(self, tmp_path):
+        # Drain 1 completes a barrier; drain 2 crashes a worker once.
+        # The re-forked fleet starts from the coordinator's barrier
+        # state and results and replays drain 2 only, so drain 1's
+        # results, items and mutations must count exactly once.
+        drains = [
+            PUTS + [("get", f"k{i}", None) for i in range(0, 24, 3)],
+            [("put", f"k{i}", 100 + i) for i in range(0, 24, 2)] + [BOOM]
+            + [("get", f"k{i}", None) for i in range(0, 24, 4)],
+        ]
+        self.assert_restart_invisible(tmp_path, drains)
+
+    def assert_restart_invisible(self, tmp_path, drains):
         flag = str(tmp_path / "crashed.flag")
         crashed = self.run_workload(build_crash_once_kv(flag),
-                                    "multiprocess", workers=2,
+                                    "multiprocess", drains, workers=2,
                                     restarts=1)
         # Oracle: the same program in-process, with the flag pre-set so
         # it never crashes — the restart must be invisible in the
@@ -211,7 +237,7 @@ class TestCrashRestartAccounting:
         oracle_flag = str(tmp_path / "preset.flag")
         open(oracle_flag, "w").close()
         clean = self.run_workload(build_crash_once_kv(oracle_flag),
-                                  "inprocess")
+                                  "inprocess", drains)
         assert crashed[:3] == clean[:3]
         assert os.path.exists(flag), "the crash never happened"
         assert len(crashed[3]) == 1, "expected one worker-restart event"
