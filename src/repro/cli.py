@@ -17,14 +17,15 @@ its Python counterpart, invoked as ``python -m repro``:
   write a JSON report file. Exit status 1 when any error-severity
   diagnostic is found.
 * ``table1`` — render the design-space classification of Table 1.
-* ``obs`` — run an instrumented benchmark workload (checkpoints,
+* ``obs`` — run the seeded workload instrumented (checkpoints,
   failure detection, supervised recovery, optional fault injection)
   and dump the observability report: metrics, events, traces.
-* ``top`` — run a demo workload and render the live telemetry
+* ``top`` — run the seeded workload and render the live telemetry
   dashboard (merged metrics, wire counters, wall-clock profile,
   flight-recorder tail) once after the drain, or repeatedly while the
   workload drains with ``--watch``. Works on both substrates.
-* ``run`` — execute a workload. Plain runs pick an execution substrate
+* ``run`` — execute the seeded workload (``DurableWorkload``, which
+  ``obs`` and ``top`` share). Plain runs pick an execution substrate
   (``--substrate inprocess`` or ``--substrate multiprocess --workers
   N``) and print wall time, throughput and the final state hash. With
   ``--durable DIR`` the run is epoch-driven and durable instead: every
@@ -271,38 +272,22 @@ def _plain_run(args) -> int:
     """A plain (non-durable) run on the configured substrate."""
     import time
 
+    from repro.durability import DurableWorkload
     from repro.durability.manifest import state_fingerprint
     from repro.runtime.engine import Runtime, RuntimeConfig
 
-    if args.app == "kvstore":
-        from repro.testing import build_kv_sdg
-
-        sdg = build_kv_sdg()
-        se_name, entry = "table", "serve"
-        keys = max(1, args.n_keys)
-        payloads = (("put", f"k{i % keys}", i)
-                    for i in range(args.items))
-    else:
-        from repro.apps.wordcount import build_wordcount_sdg
-
-        sdg = build_wordcount_sdg()
-        se_name, entry = "counts", "split"
-        words = ("state", "dataflow", "explicit", "imperative",
-                 "big", "data", "processing")
-        payloads = (
-            (i, " ".join(words[(i + j) % len(words)] for j in range(4)))
-            for i in range(args.items)
-        )
+    workload = DurableWorkload(_durable_spec(args))
     config = RuntimeConfig(
-        se_instances={se_name: args.se_instances},
+        se_instances={workload.se_name: args.se_instances},
         substrate=args.substrate,
         workers=args.workers,
         optimize=args.optimize,
     )
-    runtime = Runtime(sdg, config).deploy()
+    items = workload.items(0, args.items)
+    runtime = Runtime(workload.build_sdg(), config).deploy()
     try:
         start = time.perf_counter()
-        for payload in payloads:
+        for entry, payload in items:
             runtime.inject(entry, payload)
         runtime.run_until_idle()
         wall = time.perf_counter() - start
@@ -413,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="also write the event bus as JSON lines")
 
     p_top = sub.add_parser(
-        "top", help="run a demo workload and render the telemetry "
+        "top", help="run the seeded workload and render the telemetry "
                     "dashboard (metrics, wire, profile, flight tail)"
     )
     p_top.add_argument("--app", choices=["kvstore", "wordcount"],
@@ -475,7 +460,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="full-checkpoint cadence (0 = deltas "
                             "forever)")
     p_run.add_argument("--chaos-seed", type=int, default=None,
-                       help="arm a reproducible kills-only fault plan")
+                       help="durable runs only: arm a reproducible "
+                            "kills-only fault plan")
     p_run.add_argument("--throttle", type=float, default=0.0,
                        help="seconds to hold each epoch open before "
                             "the commit (soak-test knob)")
@@ -536,6 +522,11 @@ def main(argv: list[str] | None = None) -> int:
             )
         elif args.command == "run":
             if args.durable is None:
+                if args.chaos_seed is not None:
+                    raise SDGError(
+                        "--chaos-seed needs --durable: plain runs have "
+                        "no supervised recovery to inject faults into"
+                    )
                 return _plain_run(args)
             if args.substrate != "inprocess" or args.workers is not None:
                 raise SDGError(

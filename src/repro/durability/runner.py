@@ -59,11 +59,12 @@ from repro.obs import JsonlExporter
 from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.recovery import (
     CheckpointManager,
+    CheckpointPolicy,
     DiskBackupStore,
     RecoveryManager,
     RecoverySupervisor,
 )
-from repro.runtime import FailureDetector
+from repro.runtime import FailureDetector, Runtime, RuntimeConfig
 
 BACKUPS_DIR = "backups"
 EVENTS_NAME = "events.jsonl"
@@ -137,7 +138,18 @@ class DurableRunner:
         return cls(run_dir, load_manifest(run_dir), resume=True)
 
     def _build_runtime(self) -> None:
-        self.runtime = self.workload.build_runtime().deploy()
+        # Durable runs pin the in-process substrate: epoch fencing,
+        # checkpoint chains and crash-replay all assume the
+        # deterministic single-process step loop. The multiprocess
+        # substrate is rejected at the CLI; this keeps the invariant
+        # even for programmatic callers.
+        spec = self.spec
+        config = RuntimeConfig(
+            se_instances={self.workload.se_name: spec.se_instances},
+            checkpoint_policy=CheckpointPolicy(full_every=spec.full_every),
+            substrate="inprocess",
+        )
+        self.runtime = Runtime(self.workload.build_sdg(), config).deploy()
         fingerprint = sdg_fingerprint(self.runtime.sdg)
         recorded = self.manifest.program.get("fingerprint")
         if fingerprint != recorded:

@@ -14,6 +14,10 @@ families are exposed:
   wordcount queries) used to pump logical time while chaos recoveries
   settle. Probes never mutate SE state, so the per-epoch state hash is
   independent of how many pump rounds a particular incarnation needed.
+
+The same streams drive every CLI verb: plain ``repro run``, ``repro
+top`` and ``repro obs`` inject ``items(0, n)`` too, so one ``--app``
+and ``--items`` means one input on every verb and substrate.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from dataclasses import asdict, dataclass
 
 from repro.apps.wordcount import build_wordcount_sdg
 from repro.errors import DurabilityError
-from repro.recovery.policy import CheckpointPolicy
-from repro.runtime.engine import Runtime, RuntimeConfig
 from repro.testing import build_kv_sdg
 from repro.workloads import KVWorkload
 
@@ -102,20 +104,6 @@ class DurableWorkload:
         if self.spec.app == "kvstore":
             return build_kv_sdg()
         return build_wordcount_sdg(self.spec.window_size)
-
-    def build_runtime(self) -> Runtime:
-        # Durable runs pin the in-process substrate: epoch fencing,
-        # checkpoint chains and crash-replay all assume the
-        # deterministic single-process step loop. The multiprocess
-        # substrate is rejected at the CLI; this keeps the invariant
-        # even for programmatic callers.
-        config = RuntimeConfig(
-            se_instances={self.se_name: self.spec.se_instances},
-            checkpoint_policy=CheckpointPolicy(
-                full_every=self.spec.full_every),
-            substrate="inprocess",
-        )
-        return Runtime(self.build_sdg(), config)
 
     # -- streams ---------------------------------------------------------
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import FaultPlan, KillNode
+from repro.durability.workload import DurableWorkload, RunSpec
 from repro.errors import SDGError
 from repro.recovery.backup import BackupStore
 from repro.recovery.checkpoint import CheckpointManager
@@ -27,15 +28,6 @@ from repro.recovery.scheduler import CheckpointScheduler
 from repro.recovery.supervisor import RecoverySupervisor
 from repro.runtime.detector import FailureDetector
 from repro.runtime.engine import Runtime, RuntimeConfig
-
-#: Deterministic corpus the wordcount workload cycles through.
-_CORPUS = (
-    "the quick brown fox jumps over the lazy dog",
-    "state is made explicit and managed by the runtime",
-    "checkpoint restore replay repartition scale out",
-    "every envelope carries a trace id across the dataflow",
-    "big data processing with imperative programs",
-)
 
 #: Bounded keep-alive: how many extra pump rounds the runner allows for
 #: detection + supervised recovery to settle after the fault fires.
@@ -54,46 +46,9 @@ class ObsRun:
     scheduler: CheckpointScheduler
 
 
-def _deploy(app: str, trace: bool, optimize: bool = False) -> Runtime:
-    if app == "wordcount":
-        from repro.apps.wordcount import build_wordcount_sdg
-
-        sdg = build_wordcount_sdg(window_size=10)
-        config = RuntimeConfig(se_instances={"counts": 2}, trace=trace,
-                               optimize=optimize)
-    elif app == "kvstore":
-        from repro.testing import build_kv_sdg
-
-        sdg = build_kv_sdg()
-        config = RuntimeConfig(se_instances={"table": 2}, trace=trace,
-                               optimize=optimize)
-    else:
-        raise SDGError(
-            f"unknown obs app {app!r}; choose wordcount or kvstore"
-        )
-    runtime = Runtime(sdg, config)
-    runtime.deploy()
-    return runtime
-
-
-def _feed(runtime: Runtime, app: str, start: int, count: int) -> None:
-    if app == "wordcount":
-        for i in range(start, start + count):
-            runtime.inject("split", (i, _CORPUS[i % len(_CORPUS)]))
-    else:
-        for i in range(start, start + count):
-            runtime.inject("serve", ("put", i % 40, i))
-
-
-def _queries(runtime: Runtime, app: str, count: int) -> None:
-    """Read-side traffic; also the keep-alive pump during recovery."""
-    if app == "wordcount":
-        for i in range(count):
-            line = _CORPUS[i % len(_CORPUS)]
-            runtime.inject("query", (i, line.split()[0]))
-    else:
-        for i in range(count):
-            runtime.inject("serve", ("get", i % 40, None))
+def _inject(runtime: Runtime, items) -> None:
+    for entry, payload in items:
+        runtime.inject(entry, payload)
 
 
 def run_workload(app: str = "wordcount", items: int = 120, *,
@@ -101,16 +56,23 @@ def run_workload(app: str = "wordcount", items: int = 120, *,
                  optimize: bool = False) -> ObsRun:
     """Run one fully instrumented, supervised, optionally chaotic pass.
 
-    Injects ``items`` workload items in two halves; with ``chaos`` a
-    :class:`KillNode` fault lands between them and the run keeps
-    pumping until the supervisor has restored the victim. With
+    Injects the first ``items`` items of the seeded
+    :class:`DurableWorkload` stream (the one ``repro run`` injects) in
+    two halves; with ``chaos`` a :class:`KillNode` fault lands between
+    them and the run keeps pumping read-only probes until the
+    supervisor has restored the victim. With
     ``optimize`` the runtime deploys capability-driven dispatch;
     drained runs keep one trace hop per envelope, so the digest's
     ``dispatch_coalesced_total`` counts them with or without ``trace``.
     """
     if items < 2:
         raise SDGError(f"obs run needs at least 2 items, got {items}")
-    runtime = _deploy(app, trace, optimize)
+    workload = DurableWorkload(RunSpec(app=app, window_size=10))
+    config = RuntimeConfig(
+        se_instances={workload.se_name: workload.spec.se_instances},
+        trace=trace, optimize=optimize,
+    )
+    runtime = Runtime(workload.build_sdg(), config).deploy()
     store = BackupStore(m_targets=2)
     # trim_input_log=False keeps the supervisor's log-replay rung sound.
     manager = CheckpointManager(runtime, store, trim_input_log=False)
@@ -123,18 +85,18 @@ def run_workload(app: str = "wordcount", items: int = 120, *,
     ).install()
 
     half = items // 2
-    _feed(runtime, app, 0, half)
+    _inject(runtime, workload.items(0, half))
     runtime.run_until_idle()
 
     injector = None
     if chaos:
-        se = "counts" if app == "wordcount" else "table"
         plan = FaultPlan([
-            KillNode(at_step=runtime.total_steps + 5, se=se, index=0),
+            KillNode(at_step=runtime.total_steps + 5,
+                     se=workload.se_name, index=0),
         ])
         injector = FaultInjector(runtime, plan, store=store).install()
 
-    _feed(runtime, app, half, items - half)
+    _inject(runtime, workload.items(half, items - half))
     runtime.run_until_idle()
 
     # Keep the engine stepping until every fault fired and every
@@ -146,10 +108,10 @@ def run_workload(app: str = "wordcount", items: int = 120, *,
         rounds += 1
         if rounds > _MAX_PUMP_ROUNDS:
             raise SDGError("obs run failed to settle after recovery")
-        _queries(runtime, app, 2)
+        _inject(runtime, workload.probes(rounds, 2))
         runtime.run_until_idle()
 
-    _queries(runtime, app, min(10, items))
+    _inject(runtime, workload.probes(0, min(10, items)))
     runtime.run_until_idle()
     scheduler.flush()
     runtime.run_until_idle()

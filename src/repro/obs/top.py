@@ -24,9 +24,10 @@ from __future__ import annotations
 import time
 from typing import Callable
 
+from repro.durability.workload import DurableWorkload, RunSpec
 from repro.runtime.engine import Runtime, RuntimeConfig
 
-__all__ = ["build_workload", "render_dashboard", "run_top"]
+__all__ = ["render_dashboard", "run_top"]
 
 #: Flight-recorder capacity for dashboard runs: enough tail to be
 #: useful, small enough to render.
@@ -34,32 +35,6 @@ _FLIGHT_CAPACITY = 64
 
 #: Flight lines shown per frame.
 _FLIGHT_TAIL = 8
-
-
-def build_workload(app: str, items: int):
-    """The shared demo workloads: ``(sdg, se_name, entry, payloads)``.
-
-    Same corpora as ``repro run`` so dashboard numbers line up with
-    plain-run output for the same ``--app --items``.
-    """
-    if app == "kvstore":
-        from repro.testing import build_kv_sdg
-
-        sdg = build_kv_sdg()
-        payloads = [("put", f"k{i % 16}", i) for i in range(items)]
-        return sdg, "table", "serve", payloads
-    if app == "wordcount":
-        from repro.apps.wordcount import build_wordcount_sdg
-
-        sdg = build_wordcount_sdg()
-        words = ("state", "dataflow", "explicit", "imperative",
-                 "big", "data", "processing")
-        payloads = [
-            (i, " ".join(words[(i + j) % len(words)] for j in range(4)))
-            for i in range(items)
-        ]
-        return sdg, "counts", "split", payloads
-    raise ValueError(f"unknown app {app!r} (kvstore, wordcount)")
 
 
 # -- frame rendering -----------------------------------------------------
@@ -157,18 +132,18 @@ def run_top(app: str = "kvstore", items: int = 200,
             watch: bool = False, frames: int = 5,
             interval: float = 0.2,
             out: Callable[[str], None] = print) -> int:
-    """Run a demo workload and render the dashboard over it."""
-    sdg, se_name, entry, payloads = build_workload(app, items)
+    """Inject the seeded workload ``repro run`` uses; dashboard it."""
+    workload = DurableWorkload(RunSpec(app=app))
     config = RuntimeConfig(
-        se_instances={se_name: 2},
+        se_instances={workload.se_name: workload.spec.se_instances},
         substrate=substrate,
         workers=workers,
         profile=True,
         flight_recorder=_FLIGHT_CAPACITY,
     )
-    runtime = Runtime(sdg, config).deploy()
+    runtime = Runtime(workload.build_sdg(), config).deploy()
     try:
-        for payload in payloads:
+        for entry, payload in workload.items(0, items):
             runtime.inject(entry, payload)
         if watch:
             for frame in range(max(1, frames)):

@@ -32,7 +32,6 @@ from repro.runtime.detector import DetectionEvent, FailureDetector
 from repro.runtime.dispatcher import Dispatcher
 from repro.runtime.engine import Runtime, RuntimeConfig
 from repro.runtime.envelope import Envelope, NO_RESPONSE
-from repro.runtime.monitor import RuntimeMonitor, Sample
 from repro.runtime.scaling import BottleneckDetector
 from repro.runtime.scheduler import (
     LongestQueueScheduler,
@@ -62,10 +61,8 @@ __all__ = [
     "RoundRobinScheduler",
     "Runtime",
     "RuntimeConfig",
-    "RuntimeMonitor",
     "SCHEDULERS",
     "SUBSTRATES",
-    "Sample",
     "Scheduler",
     "Topology",
     "Transport",

@@ -68,6 +68,25 @@ from repro.state import HashPartitioner
 #: channel (drain-k serving, see :meth:`Runtime.step`).
 DRAIN_MAX = 64
 
+
+def _require_int(name: str, value: Any, minimum: int, *,
+                 optional: bool = False, hint: str = "") -> None:
+    """Reject ``value`` unless it is an int (not a bool) >= ``minimum``.
+
+    ``optional`` also accepts ``None``; ``hint`` is appended to the
+    expectation in the error message.
+    """
+    if optional and value is None:
+        return
+    if not isinstance(value, int) or isinstance(value, bool) \
+            or value < minimum:
+        expected = f"an integer >= {minimum}{hint}"
+        if optional:
+            expected = f"None or {expected}"
+        raise RuntimeExecutionError(
+            f"{name} must be {expected}, got {value!r}")
+
+
 @dataclass
 class RuntimeConfig:
     """Deployment-time knobs of the runtime."""
@@ -190,66 +209,34 @@ class RuntimeConfig:
         """
         for knob in ("scale_threshold", "max_instances",
                      "scale_check_every"):
-            value = getattr(self, knob)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
-                raise RuntimeExecutionError(
-                    f"RuntimeConfig.{knob} must be an integer >= 1, "
-                    f"got {value!r}"
-                )
-        capacity = self.channel_capacity
-        if capacity is not None:
-            if not isinstance(capacity, int) or isinstance(capacity, bool) \
-                    or capacity < 1:
-                raise RuntimeExecutionError(
-                    f"RuntimeConfig.channel_capacity must be None or an "
-                    f"integer >= 1, got {capacity!r}"
-                )
+            _require_int(f"RuntimeConfig.{knob}", getattr(self, knob), 1)
+        _require_int("RuntimeConfig.channel_capacity",
+                     self.channel_capacity, 1, optional=True)
         # Raises on unknown policy names / non-scheduler objects.
         resolve_scheduler(self.scheduler)
-        if not isinstance(self.trace, bool):
-            raise RuntimeExecutionError(
-                f"RuntimeConfig.trace must be a bool, got {self.trace!r}"
-            )
-        if not isinstance(self.profile, bool):
-            raise RuntimeExecutionError(
-                f"RuntimeConfig.profile must be a bool, "
-                f"got {self.profile!r}"
-            )
-        capacity_knob = self.flight_recorder
-        if not isinstance(capacity_knob, int) \
-                or isinstance(capacity_knob, bool) or capacity_knob < 0:
-            raise RuntimeExecutionError(
-                f"RuntimeConfig.flight_recorder must be an integer >= 0 "
-                f"(ring capacity, 0 = off), got {capacity_knob!r}"
-            )
-        restarts = self.worker_restarts
-        if not isinstance(restarts, int) or isinstance(restarts, bool) \
-                or restarts < 0:
-            raise RuntimeExecutionError(
-                f"RuntimeConfig.worker_restarts must be an integer >= 0, "
-                f"got {restarts!r}"
-            )
-        if restarts and self.substrate != "multiprocess":
+        for knob in ("trace", "profile", "optimize"):
+            value = getattr(self, knob)
+            if not isinstance(value, bool):
+                raise RuntimeExecutionError(
+                    f"RuntimeConfig.{knob} must be a bool, got {value!r}"
+                )
+        _require_int("RuntimeConfig.flight_recorder", self.flight_recorder,
+                     0, hint=" (ring capacity, 0 = off)")
+        _require_int("RuntimeConfig.worker_restarts", self.worker_restarts,
+                     0)
+        if self.worker_restarts and self.substrate != "multiprocess":
             raise RuntimeExecutionError(
                 "RuntimeConfig.worker_restarts requires "
                 "substrate='multiprocess'; the in-process substrate has "
                 "no worker fleet to restart"
             )
-        workers = self.workers
-        if workers is not None:
-            if not isinstance(workers, int) or isinstance(workers, bool) \
-                    or workers < 1:
-                raise RuntimeExecutionError(
-                    f"RuntimeConfig.workers must be None or an integer "
-                    f">= 1, got {workers!r}"
-                )
-            if self.substrate == "inprocess":
-                raise RuntimeExecutionError(
-                    "RuntimeConfig.workers requires "
-                    "substrate='multiprocess'; the in-process substrate "
-                    "is single-process by definition"
-                )
+        _require_int("RuntimeConfig.workers", self.workers, 1,
+                     optional=True)
+        if self.workers is not None and self.substrate == "inprocess":
+            raise RuntimeExecutionError(
+                "RuntimeConfig.workers requires substrate='multiprocess'; "
+                "the in-process substrate is single-process by definition"
+            )
         if self.substrate == "multiprocess":
             # Structural mutations (scale-out, repartition) are not yet
             # wired through the control plane; fail at deploy instead
@@ -262,11 +249,6 @@ class RuntimeConfig:
                     "reactive scale-out is not yet a multiprocess "
                     "control-plane action"
                 )
-        if not isinstance(self.optimize, bool):
-            raise RuntimeExecutionError(
-                f"RuntimeConfig.optimize must be a bool, "
-                f"got {self.optimize!r}"
-            )
         if self.substrate_check not in ("warn", "enforce", "off"):
             raise RuntimeExecutionError(
                 f"RuntimeConfig.substrate_check must be 'warn', "
@@ -282,16 +264,10 @@ class RuntimeConfig:
                         f"(callable counter/gauge/histogram), got "
                         f"{self.metrics!r}"
                     )
-        policy = self.checkpoint_policy
-        if policy is not None:
-            cadence = getattr(policy, "full_every", None)
-            if not isinstance(cadence, int) or isinstance(cadence, bool) \
-                    or cadence < 0:
-                raise RuntimeExecutionError(
-                    f"RuntimeConfig.checkpoint_policy must expose an "
-                    f"integer full_every >= 0 (e.g. a CheckpointPolicy), "
-                    f"got {policy!r}"
-                )
+        if self.checkpoint_policy is not None:
+            _require_int("RuntimeConfig.checkpoint_policy.full_every",
+                         getattr(self.checkpoint_policy, "full_every", None),
+                         0, hint=" (e.g. from a CheckpointPolicy)")
         known_ses = set(sdg.states)
         unknown_ses = sorted(set(self.se_instances) - known_ses)
         if unknown_ses:
@@ -315,12 +291,7 @@ class RuntimeConfig:
         for mapping, what in ((self.se_instances, "se_instances"),
                               (self.te_instances, "te_instances")):
             for name, count in mapping.items():
-                if not isinstance(count, int) or isinstance(count, bool) \
-                        or count < 1:
-                    raise RuntimeExecutionError(
-                        f"{what}[{name!r}] must be an integer >= 1, "
-                        f"got {count!r}"
-                    )
+                _require_int(f"{what}[{name!r}]", count, 1)
 
 
 class Runtime:

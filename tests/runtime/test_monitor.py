@@ -1,86 +1,111 @@
-"""Tests for the runtime monitor."""
+"""Tests for the TE monitoring signals of §3.3, read from the registry.
 
-from repro.runtime import Runtime, RuntimeConfig, RuntimeMonitor
+"Each TE is monitored to determine if it constitutes a processing
+bottleneck." The engine maintains the signals as metric series —
+``runtime_inbox_depth{te}`` (backlog), ``engine_items_processed_total{te}``
+(cumulative items) and ``runtime_te_instances{te}`` (live instances) —
+and a caller samples them with a step hook reading ``runtime.metrics``.
+"""
+
+from repro.runtime import Runtime, RuntimeConfig
 
 from tests.helpers import build_kv_sdg
 
 
-def deploy_with_monitor(sample_every=10):
+def deploy():
     runtime = Runtime(build_kv_sdg(),
                       RuntimeConfig(se_instances={"table": 2}))
-    runtime.deploy()
-    monitor = RuntimeMonitor(sample_every=sample_every).install(runtime)
-    return runtime, monitor
+    return runtime.deploy()
+
+
+def read(runtime, te="serve"):
+    """(backlog, processed, instances) of one TE, straight from metrics."""
+    metrics = runtime.metrics
+    return (int(metrics.value("runtime_inbox_depth", te=te)),
+            int(metrics.value("engine_items_processed_total", te=te)),
+            int(metrics.value("runtime_te_instances", te=te)))
+
+
+def sample_every(runtime, every):
+    """Install a step hook that records ``(step, read())`` tuples."""
+    samples = []
+
+    def hook(rt):
+        if rt.total_steps % every == 0:
+            samples.append((rt.total_steps, read(rt)))
+
+    runtime.add_step_hook(hook)
+    return samples, hook
 
 
 class TestMonitor:
     def test_samples_taken_periodically(self):
-        runtime, monitor = deploy_with_monitor(sample_every=10)
+        runtime = deploy()
+        samples, _hook = sample_every(runtime, 10)
         for i in range(100):
             runtime.inject("serve", ("put", i, i))
         runtime.run_until_idle()
-        # A baseline sample at install, then one every 10 steps.
-        assert len(monitor.samples) == 11
-        assert [s.step for s in monitor.samples] == list(
-            range(0, 101, 10)
-        )
+        assert [step for step, _ in samples] == list(range(10, 101, 10))
 
     def test_baseline_sample_on_install(self):
-        runtime, monitor = deploy_with_monitor(sample_every=10)
-        assert [s.step for s in monitor.samples] == [0]
-        assert monitor.samples[0].instances["serve"] == 2
+        # Deploy publishes the gauges before the first step runs.
+        runtime = deploy()
+        assert runtime.total_steps == 0
+        assert read(runtime) == (0, 0, 2)
 
     def test_backlog_series_drains_to_zero(self):
-        runtime, monitor = deploy_with_monitor(sample_every=5)
+        runtime = deploy()
+        samples, _hook = sample_every(runtime, 5)
         for i in range(50):
             runtime.inject("serve", ("put", i, i))
         runtime.run_until_idle()
-        series = monitor.backlog_series("serve")
-        # The baseline point precedes the injections, so the series
-        # starts at zero, peaks, then drains back to zero.
-        assert series[0][1] == 0
-        assert max(depth for _step, depth in series) > 0
-        assert series[-1][1] == 0
+        backlog = [reading[0] for _step, reading in samples]
+        assert max(backlog) > 0
+        assert backlog[-1] == 0
+        assert read(runtime)[0] == 0
 
     def test_throughput_series_steady_state(self):
-        runtime, monitor = deploy_with_monitor(sample_every=10)
+        runtime = deploy()
+        samples, _hook = sample_every(runtime, 10)
         for i in range(200):
             runtime.inject("serve", ("put", i, i))
         runtime.run_until_idle()
-        series = monitor.throughput_series("serve")
-        # One TE, one item per step: unit throughput throughout.
-        assert all(rate == 1.0 for _step, rate in series)
+        processed = [reading[1] for _step, reading in samples]
+        # One TE, one item per step: ten more items every ten steps.
+        assert processed == list(range(10, 201, 10))
+        assert read(runtime)[1] == 200
 
     def test_peak_backlog(self):
-        runtime, monitor = deploy_with_monitor(sample_every=1)
+        runtime = deploy()
+        samples, _hook = sample_every(runtime, 1)
         for i in range(30):
             runtime.inject("serve", ("put", i, i))
         runtime.run_until_idle()
-        assert monitor.peak_backlog("serve") >= 25
+        assert max(reading[0] for _step, reading in samples) >= 25
 
     def test_instances_tracked_through_scaling(self):
-        runtime, monitor = deploy_with_monitor(sample_every=1)
+        runtime = deploy()
         for i in range(10):
             runtime.inject("serve", ("put", i, i))
         runtime.run_until_idle()
+        assert read(runtime)[2] == 2
         runtime.scale_up("serve")
         for i in range(10, 20):
             runtime.inject("serve", ("put", i, i))
         runtime.run_until_idle()
-        first, last = monitor.samples[0], monitor.samples[-1]
-        assert first.instances["serve"] == 2
-        assert last.instances["serve"] == 3
+        assert read(runtime)[2] == 3
+        assert read(runtime)[1] == 20
 
     def test_uninstall_stops_sampling(self):
-        runtime, monitor = deploy_with_monitor(sample_every=1)
-        monitor.uninstall()
+        runtime = deploy()
+        samples, hook = sample_every(runtime, 1)
+        runtime.remove_step_hook(hook)
         runtime.inject("serve", ("put", 1, 1))
         runtime.run_until_idle()
-        # Only the install-time baseline sample remains.
-        assert [s.step for s in monitor.samples] == [0]
+        assert samples == []
 
     def test_manual_sample(self):
-        runtime, monitor = deploy_with_monitor(sample_every=1_000_000)
+        # Injection alone moves the backlog gauge; no step needed.
+        runtime = deploy()
         runtime.inject("serve", ("put", 1, 1))
-        sample = monitor.take_sample(runtime)
-        assert sample.backlog["serve"] == 1
+        assert read(runtime)[0] == 1

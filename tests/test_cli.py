@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from repro.cli import main
 
 
@@ -12,6 +14,13 @@ def run_cli(*args):
         [sys.executable, "-m", "repro", *args],
         capture_output=True, text=True, timeout=120,
     )
+
+
+def plain_run_hash(capsys, *args):
+    """Run ``repro run`` without --durable; return its state_hash."""
+    assert main(["run", *args]) == 0
+    out = capsys.readouterr().out
+    return out.split("state_hash=")[-1].strip()
 
 
 class TestTranslateCommand:
@@ -67,6 +76,18 @@ class TestObsCommand:
         out = capsys.readouterr().out
         assert "tracing disabled" in out
         assert "fault-injected" not in out
+
+    def test_obs_injects_the_plain_run_items(self, capsys):
+        from repro.durability.manifest import state_fingerprint
+        from repro.obs.runner import run_workload
+
+        run = run_workload("kvstore", 120, trace=False)
+        assert run.injector is not None and run.injector.done
+        obs_hash = str(state_fingerprint(run.runtime))
+        # obs adds only read-only probes and a recovered kill, so the
+        # KV state is the plain run's state for the same --items.
+        assert obs_hash == plain_run_hash(capsys, "--app", "kvstore",
+                                          "--items", "120")
 
     def test_obs_events_export(self, capsys, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -135,6 +156,39 @@ class TestDurableCommands:
     def test_resume_of_non_run_dir_errors(self, capsys, tmp_path):
         assert main(["resume", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestPlainRun:
+    """Plain runs inject the seeded ``DurableWorkload`` stream."""
+
+    def test_seed_and_read_fraction_are_honoured(self, capsys):
+        base = plain_run_hash(capsys, "--items", "120", "--seed", "3")
+        assert plain_run_hash(capsys, "--items", "120",
+                              "--seed", "3") == base
+        assert plain_run_hash(capsys, "--items", "120",
+                              "--seed", "4") != base
+        assert plain_run_hash(capsys, "--items", "120", "--seed", "3",
+                              "--read-fraction", "0.5") != base
+
+    @pytest.mark.parametrize("app", ["kvstore", "wordcount"])
+    def test_same_state_hash_on_both_substrates(self, capsys, app):
+        inproc = plain_run_hash(capsys, "--app", app, "--items", "200")
+        multi = plain_run_hash(capsys, "--app", app, "--items", "200",
+                               "--substrate", "multiprocess",
+                               "--workers", "2")
+        assert inproc == multi
+
+    def test_plain_run_matches_one_durable_epoch(self, capsys, tmp_path):
+        plain = plain_run_hash(capsys, "--items", "90", "--seed", "5")
+        assert main(["run", "--durable", str(tmp_path / "run"),
+                     "--epochs", "1", "--items-per-epoch", "90",
+                     "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].endswith(f"final state hash {plain}")
+
+    def test_chaos_seed_needs_durable(self, capsys):
+        assert main(["run", "--chaos-seed", "3"]) == 1
+        assert "--chaos-seed needs --durable" in capsys.readouterr().err
 
 
 class TestOptimizeFlags:
