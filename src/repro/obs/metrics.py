@@ -34,6 +34,7 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "default_registry",
+    "fold_changes",
     "DEFAULT_STEP_BUCKETS",
 ]
 
@@ -285,6 +286,47 @@ class MetricsRegistry:
             out[name] = entry
         return out
 
+    def changes_since(self, shipped: dict) -> dict:
+        """The part of :meth:`snapshot` that differs from ``shipped``.
+
+        ``shipped`` is the caller's book of what it last sent,
+        ``{name: {label_key: value}}`` (a histogram child is booked by
+        its observation count); start it as ``{}``. This call updates
+        the book and returns a snapshot-shaped dict holding only the
+        children whose state differs from it. A metric's ``kind``,
+        ``help`` and ``buckets`` go out only the first time it is
+        shipped; later entries carry just ``children``. Folding the
+        successive results with :func:`fold_changes` rebuilds
+        :meth:`snapshot` — multiprocess workers ship these instead of
+        a full snapshot with every progress report.
+        """
+        out: dict = {}
+        for name, metric in self._metrics.items():
+            book = shipped.get(name)
+            children: dict = {}
+            if book is None:
+                book = shipped[name] = {}
+                entry = {"kind": metric.kind, "help": metric.help,
+                         "children": children}
+                if metric.kind == "histogram":
+                    entry["buckets"] = metric.buckets
+            else:
+                entry = {"children": children}
+            if metric.kind == "histogram":
+                for key, child in metric._children.items():
+                    if book.get(key) != child.count:
+                        book[key] = child.count
+                        children[key] = (list(child.counts), child.sum,
+                                         child.count)
+            else:
+                for key, child in metric._children.items():
+                    value = child.value
+                    if book.get(key) != value:
+                        book[key] = children[key] = value
+            if children or "kind" in entry:
+                out[name] = entry
+        return out
+
     def merge_snapshot(self, snap: dict) -> None:
         """Fold one :meth:`snapshot` shard into this registry.
 
@@ -379,6 +421,29 @@ class MetricsRegistry:
                 else:
                     lines.append(f"{metric.name}{_label_str(labels)} {_fmt(child.value)}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def fold_changes(shard: dict | None, changes: dict) -> dict:
+    """Apply one :meth:`MetricsRegistry.changes_since` result to a
+    snapshot-shaped ``shard`` (``None`` for nothing shipped yet).
+
+    Copy-on-write: returns a new dict and never mutates ``shard``, so
+    a caller may keep an older shard (a barrier-fenced one, say) while
+    folding newer changes into its successor.
+    """
+    out = dict(shard) if shard else {}
+    for name, entry in changes.items():
+        old = out.get(name)
+        if old is None:
+            if "kind" not in entry:
+                raise MetricError(
+                    f"change to metric {name!r} arrived before its "
+                    f"first full entry")
+            out[name] = entry
+        else:
+            out[name] = {**old, "children": {**old["children"],
+                                             **entry["children"]}}
+    return out
 
 
 def _fmt(value: float) -> str:
@@ -482,6 +547,9 @@ class NullRegistry:
         return ""
 
     def snapshot(self) -> dict:
+        return {}
+
+    def changes_since(self, shipped: dict) -> dict:
         return {}
 
     def merge_snapshot(self, snap: dict) -> None:

@@ -124,7 +124,7 @@ def render_report(run: ObsRun, *, trace_limit: int = 8) -> str:
     """The full ``repro obs`` report: metrics, events, traces."""
     runtime = run.runtime
     # Substrate-agnostic view: on the multiprocess substrate this folds
-    # every worker's registry shard (as of the last barrier) into the
+    # every worker's registry shard (as of its latest report) into the
     # coordinator's series; in-process it is runtime.metrics itself.
     metrics = runtime.merged_metrics()
     names = metrics.names()

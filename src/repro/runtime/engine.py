@@ -844,8 +844,9 @@ class Runtime:
         In-process this is ``self.metrics`` itself. On the multiprocess
         substrate each worker keeps its own registry shard; this
         returns a fresh registry merging the coordinator's series with
-        every worker's, as of the last barrier — so observability
-        output is substrate-agnostic.
+        every worker's — so observability output is substrate-agnostic.
+        The worker shards are live: as of each worker's latest progress
+        report (see :meth:`poll_telemetry`), and exact after a barrier.
         """
         shards = getattr(self.substrate, "metric_shards", None)
         if not shards:

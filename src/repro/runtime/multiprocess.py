@@ -6,7 +6,8 @@ forked worker processes, one per group of logical nodes
 (:meth:`~repro.runtime.deployment.Topology.plan_workers`), each owning
 its nodes' TE instances and — transitively — their StateElement
 partitions. Workers never share memory: every cross-worker hand-off is
-an :class:`~repro.runtime.envelope.Envelope` serialised through the
+an :class:`~repro.runtime.envelope.Envelope`, flattened by
+``Envelope.to_wire()`` and serialised through the
 :mod:`repro.runtime.wire` codec, which is exactly the paper's
 location-independence discipline (§4.1) made physical.
 
@@ -34,7 +35,7 @@ no outbound bytes are queued. ``run_until_idle`` then runs the barrier
 sync (``MSG_SNAPSHOT``): each worker ships what changed since the
 previous barrier — one :class:`~repro.state.base.DeltaChunk` per SE
 element its journal marks dirty, the terminal results produced since
-then — plus its metrics shard, and the coordinator folds the deltas
+then — plus its metric changes, and the coordinator folds the deltas
 into its own elements and appends the results. A barrier therefore
 costs O(change), not O(state + history), and after the call
 coordinator-side state inspection (fingerprints, checkpoints, reports)
@@ -44,10 +45,14 @@ since the last checkpoint, as in-process.
 
 Observability rides the same pipes (no side channels):
 
-* **live metrics** — idle reports piggyback the worker's cumulative
-  registry snapshot, so :meth:`Runtime.merged_metrics` is fresh
+* **live metrics** — idle reports piggyback the registry children
+  that changed since the worker's previous report
+  (``MetricsRegistry.changes_since`` against a per-worker book of what
+  it shipped); the coordinator folds them copy-on-write into that
+  worker's live shard, so :meth:`Runtime.merged_metrics` is fresh
   *between* barriers (drive the wire with :meth:`poll` /
-  :meth:`Runtime.poll_telemetry` while a drain is in flight);
+  :meth:`Runtime.poll_telemetry` while a drain is in flight) and exact
+  at them;
 * **causal tracing** — workers record hops with their forked tracer
   and ship shards (``MSG_TRACE`` + the barrier reply) the coordinator
   merges into one fleet-wide causal view;
@@ -86,6 +91,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import RuntimeExecutionError
 from repro.obs.events import KIND
 from repro.obs.flight import render_dump
+from repro.obs.metrics import fold_changes
 from repro.runtime.envelope import (
     INPUT_EDGE,
     WIRE_EDGE,
@@ -170,10 +176,11 @@ class _Link:
         #: MSG_OUT frames read *from* this worker.
         self.received_out = 0
         self.state_reply: dict | None = None
-        #: Freshest cumulative metrics snapshot (idle piggyback or
-        #: barrier reply) — what ``merged_metrics()`` reads live.
+        #: The worker's registry as folded from every change set it
+        #: reported (idle piggyback or barrier reply) — what
+        #: ``merged_metrics()`` reads live. Replaced, never mutated.
         self.live_shard: dict | None = None
-        #: Snapshot as of the last *barrier* — what survives into
+        #: ``live_shard`` as of the last *barrier* — what survives into
         #: ``_retired_shards`` if this worker's fleet is restarted.
         self.fenced_shard: dict | None = None
         self.fenced_processed = 0
@@ -352,22 +359,29 @@ class MultiprocessSubstrate:
 
     def deliver(self, envelope: "Envelope") -> bool:
         """Route one envelope to the worker owning its destination."""
-        owner = self.placement.owner_of(
-            envelope.channel.dst_te, envelope.channel.dst_instance
-        )
-        self._routed += 1
+        wired = envelope.to_wire()
         if self.restarts and envelope.channel.edge_index == INPUT_EDGE:
             # Log first: if the send trips over a dead worker, the
             # restart's replay re-delivers this envelope too, so the
             # handler below must not retry it itself.
             self._replay_log.append(envelope)
             try:
-                self._send(self._links[owner], (MSG_DELIVER, envelope))
+                self._route(wired)
             except _WorkerFailure as failure:
                 self._handle_failure(failure)
             return True
-        self._send(self._links[owner], (MSG_DELIVER, envelope))
+        self._route(wired)
         return True
+
+    def _route(self, wired: tuple) -> None:
+        """Send one ``Envelope.to_wire()`` tuple to the worker owning
+        its destination, read off the flattened channel (no envelope is
+        built just to forward a relayed ``MSG_OUT``)."""
+        _, _, _, dst_te, dst_instance = wired[2]
+        self._routed += 1
+        self._send(self._links[self.placement.owner_of(dst_te,
+                                                       dst_instance)],
+                   (MSG_DELIVER, wired))
 
     def runnable(self, instances: "list[TEInstance]") \
             -> "list[TEInstance]":
@@ -447,8 +461,8 @@ class MultiprocessSubstrate:
 
     @property
     def metric_shards(self) -> list[dict]:
-        """Per-worker registry snapshots: retired fleets' barrier-fenced
-        shards plus the live fleet's freshest reports. Consumed by
+        """Per-worker registry shards: retired fleets' barrier-fenced
+        shards plus the live fleet's folded reports. Consumed by
         :meth:`Runtime.merged_metrics`; updated live as idle frames
         arrive, not only at barriers."""
         shards = list(self._retired_shards)
@@ -530,8 +544,10 @@ class MultiprocessSubstrate:
     def _handle(self, link: _Link, message: tuple) -> None:
         tag = message[0]
         if tag == MSG_OUT:
+            # Workers emit on dataflow edges only, never on INPUT_EDGE,
+            # so a relay is never a replay-log entry.
             link.received_out += 1
-            self.deliver(message[1])
+            self._route(message[1])
         elif tag == MSG_IDLE:
             _, link.consumed, link.emitted, link.processed, obs = message
             if obs:
@@ -545,19 +561,15 @@ class MultiprocessSubstrate:
             link.consumed = reply["consumed"]
             link.emitted = reply["emitted"]
             link.processed = reply["processed"]
-            link.live_shard = reply["metrics"]
-            if reply.get("profile") is not None:
-                link.profile_shard = reply["profile"]
+            self._absorb_obs(link, reply)
             trace_shard = reply.get("trace")
             if trace_shard and self.runtime.tracer is not None:
                 self.runtime.tracer.merge_shard(trace_shard)
             link.state_reply = reply
         elif tag == MSG_CRASH:
-            extra = message[2] if len(message) > 2 else {}
+            _, detail, extra = message
             raise _WorkerFailure(
-                link,
-                f"worker {link.worker_id} crashed:\n{message[1]}",
-                extra,
+                link, f"worker {link.worker_id} crashed:\n{detail}", extra,
             )
         else:  # pragma: no cover - protocol violation
             raise RuntimeExecutionError(
@@ -566,10 +578,12 @@ class MultiprocessSubstrate:
             )
 
     def _absorb_obs(self, link: _Link, obs: dict) -> None:
-        """Install a piggybacked telemetry report (cumulative shards)."""
+        """Install a telemetry report: fold the metric changes into the
+        live shard (copy-on-write, so a barrier-fenced shard keeps its
+        value) and take the cumulative profile shard as is."""
         metrics = obs.get("metrics")
-        if metrics is not None:
-            link.live_shard = metrics
+        if metrics:
+            link.live_shard = fold_changes(link.live_shard, metrics)
         profile = obs.get("profile")
         if profile is not None:
             link.profile_shard = profile
@@ -661,8 +675,9 @@ class MultiprocessSubstrate:
         they land in the coordinator's mutation journal; results are
         appended to the existing ``runtime.results`` lists (barrier by
         barrier, in worker order — deterministic for a fixed
-        placement). ``metric_shards`` then holds each worker's registry
-        snapshot. Replies are applied only once every worker answered,
+        placement). Each worker's live metric shard, which already
+        folds the reply's metric changes, is fenced as of this
+        barrier. Replies are applied only once every worker answered,
         so a crash mid-barrier leaves the coordinator at the previous
         barrier. Returns the items processed since that barrier.
         """
@@ -685,14 +700,8 @@ class MultiprocessSubstrate:
                     inst.element = state
             for te, items in reply["results"].items():
                 runtime.results.setdefault(te, []).extend(items)
-            link.live_shard = reply["metrics"]
-            link.fenced_shard = reply["metrics"]
+            link.fenced_shard = link.live_shard
             link.fenced_processed = reply["processed"]
-            if reply.get("profile") is not None:
-                link.profile_shard = reply["profile"]
-            trace_shard = reply.get("trace")
-            if trace_shard and runtime.tracer is not None:
-                runtime.tracer.merge_shard(trace_shard)
             processed_total += reply["processed"]
         self._replay_log.clear()
         delta = processed_total - self._processed_base
@@ -775,6 +784,10 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
     # values; zero it so this worker's shard is purely its own work
     # and the barrier merge never double-counts.
     runtime.metrics.reset()
+    # What this worker last shipped of its registry: progress reports
+    # and barrier replies carry only the children that moved since.
+    # Fresh per fork, so a re-forked fleet ships everything once.
+    shipped: dict = {}
     # The inherited results hold whatever the coordinator merged at its
     # last barrier (non-empty after a fleet restart); zero them so this
     # worker ships only work it performed itself.
@@ -830,7 +843,7 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         w_bytes_send.inc(len(data))
 
     def remote_send(envelope: "Envelope") -> None:
-        ship((MSG_OUT, envelope))
+        ship((MSG_OUT, envelope.to_wire()))
         counters["emitted"] += 1
 
     runtime.transport.enable_worker_routing(placement, worker_id,
@@ -894,10 +907,13 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
                     shard = tracer.drain_shard()
                     if shard:
                         ship((MSG_TRACE, shard))
-                obs: dict = {"metrics": runtime.metrics.snapshot()}
+                obs: dict = {}
+                changes = runtime.metrics.changes_since(shipped)
+                if changes:
+                    obs["metrics"] = changes
                 if profiler is not None:
                     obs["profile"] = profiler.snapshot()
-                ship((MSG_IDLE,) + report + (obs,))
+                ship((MSG_IDLE,) + report + (obs or None,))
                 reported = report
             poll(block=True)
             continue
@@ -905,10 +921,10 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         counters["consumed"] += 1
         tag = message[0]
         if tag == MSG_DELIVER:
-            runtime.transport.deliver(message[1])
+            runtime.transport.deliver(Envelope.from_wire(message[1]))
         elif tag == MSG_SNAPSHOT:
             ship((MSG_STATE, _snapshot(
-                runtime, worker_id, placement, counters)))
+                runtime, worker_id, placement, counters, shipped)))
         elif tag == MSG_HELLO:
             _check_hello(runtime, message, worker_id, placement)
         elif tag == MSG_SHUTDOWN:
@@ -951,9 +967,12 @@ def _owned_se_instances(runtime: "Runtime", worker_id: int,
 
 
 def _snapshot(runtime: "Runtime", worker_id: int, placement,
-              counters: dict) -> dict:  # pragma: no cover - subprocess
+              counters: dict,
+              shipped: dict) -> dict:  # pragma: no cover - subprocess
     """This worker's barrier payload: what changed since the previous
-    barrier (SE deltas, new results) plus telemetry.
+    barrier (SE deltas, new results) plus the metric children changed
+    since the last report (``shipped`` is the worker's book) and the
+    trace and profile shards when enabled.
 
     Journals are reset and result lists replaced here, so the next
     barrier starts from this one. The reply is pickled before the
@@ -974,14 +993,12 @@ def _snapshot(runtime: "Runtime", worker_id: int, placement,
     for te in results:
         runtime.results[te] = []
     reply = {
-        "worker": worker_id,
         "consumed": counters["consumed"],
         "emitted": counters["emitted"],
         "processed": counters["processed"],
         "se": state,
         "results": results,
-        "metrics": runtime.metrics.snapshot(),
-        "steps": runtime.total_steps,
+        "metrics": runtime.metrics.changes_since(shipped),
     }
     tracer = runtime.tracer
     if tracer is not None:
@@ -989,7 +1006,4 @@ def _snapshot(runtime: "Runtime", worker_id: int, placement,
     profiler = getattr(runtime, "profiler", None)
     if profiler is not None:
         reply["profile"] = profiler.snapshot()
-    flight = getattr(runtime, "flight", None)
-    if flight is not None:
-        reply["flight"] = flight.dump()
     return reply

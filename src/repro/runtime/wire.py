@@ -165,32 +165,46 @@ def write_frame(fd: int, message: Any) -> None:
 # control-plane messages by design: MSG_SNAPSHOT is the first of them,
 # and the tags reserve the vocabulary for the follow-ups.
 #
-# Telemetry rides the same pipes: idle reports piggyback metric and
-# profile shards, MSG_TRACE ships causal-trace hops, and crash frames
-# carry the worker's flight-recorder dump — no side channels.
+# Telemetry rides the same pipes: idle reports piggyback metric
+# changes and profile shards, MSG_TRACE ships causal-trace hops, and
+# crash frames carry the worker's flight-recorder dump — no side
+# channels.
+#
+# Envelopes cross the wire as ``Envelope.to_wire()`` tuples, not as
+# pickled dataclasses: the tuple pickles to about a third of the bytes,
+# and the coordinator can route a relayed one on its flattened channel
+# (``wired[2][3:5]`` is ``(dst_te, dst_instance)``) without rebuilding
+# an envelope.
 
 #: coordinator -> worker: bootstrap ``(tag, worker_id, n_workers,
 #: index_digest)`` — the worker's id, the fleet size and the successor
 #: index digest; the worker verifies them against its own forked view
 #: before serving traffic.
 MSG_HELLO = "hello"
-#: coordinator -> worker: one envelope to enqueue locally.
+#: coordinator -> worker: ``(tag, wired)`` — one envelope, as its
+#: ``to_wire()`` tuple, to rebuild with ``Envelope.from_wire`` and
+#: enqueue locally.
 MSG_DELIVER = "deliver"
 #: coordinator -> worker: ship back what changed since the previous
-#: barrier (SE deltas, new results) and the metrics shard.
+#: barrier (SE deltas, new results, metric changes).
 MSG_SNAPSHOT = "snapshot"
 #: coordinator -> worker: exit the worker loop.
 MSG_SHUTDOWN = "shutdown"
 
-#: worker -> coordinator: an envelope whose destination lives elsewhere.
+#: worker -> coordinator: ``(tag, wired)`` — an envelope, as its
+#: ``to_wire()`` tuple, whose destination lives elsewhere; relayed to
+#: the owning worker as is.
 MSG_OUT = "out"
 #: worker -> coordinator: progress report — ``(tag, consumed, emitted,
 #: processed, obs)`` where the cumulative counters double as the
 #: quiescence signal and ``obs`` is either ``None`` or a dict of
-#: telemetry shards (``{"metrics": snapshot, "profile": snapshot}``)
-#: piggybacked so the coordinator's merged view stays fresh between
-#: barriers. Workers only attach ``obs`` when it changed since the
-#: last report.
+#: telemetry piggybacked so the coordinator's merged view stays fresh
+#: between barriers: ``"metrics"`` holds only the registry children
+#: that changed since the worker's previous report
+#: (``MetricsRegistry.changes_since``), which the coordinator folds
+#: into its per-worker shard, and ``"profile"`` the cumulative phase
+#: shard when profiling is on. Workers only attach ``obs`` when it
+#: changed since the last report.
 MSG_IDLE = "idle"
 #: worker -> coordinator: ``(tag, [(trace_id, Hop), ...])`` — causal
 #: trace hops recorded since the last drain. Pure telemetry: never
@@ -198,11 +212,11 @@ MSG_IDLE = "idle"
 MSG_TRACE = "trace"
 #: worker -> coordinator: snapshot reply — one ``DeltaChunk`` per SE
 #: element mutated since the previous barrier (a non-journalled legacy
-#: SE goes whole), the results produced since then, the metrics shard,
-#: plus drained trace hops and the profile shard when enabled.
+#: SE goes whole), the results produced since then, the metric changes
+#: since the last report, plus drained trace hops and the profile
+#: shard when enabled.
 MSG_STATE = "state"
 #: worker -> coordinator: the worker loop died — ``(tag, traceback,
 #: extra)`` where ``extra`` carries the worker id, step count and the
-#: flight-recorder dump. Older two-element frames (no ``extra``) are
-#: still accepted.
+#: flight-recorder dump.
 MSG_CRASH = "crash"
